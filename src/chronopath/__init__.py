@@ -11,12 +11,11 @@ derived from any of the exact counters.
 from .colourcount import count_multicoloured, estimate_short, estimate_total
 from .dispatch import DispatchCaps, dispatch_count, select_algorithm
 from .fen import count_fen
-from .forest import count_forest, count_forest_window
+from .forest import count_forest
 from .graph import (
     StaticGraph,
     TemporalGraph,
     TemporalPath,
-    VertexAppearance,
     connectivity_matrix,
     earliest_arrival,
     fastest_duration,
@@ -43,7 +42,6 @@ __all__ = [
     "TemporalGraph",
     "TemporalPath",
     "VIMSequence",
-    "VertexAppearance",
     "betweenness_bf",
     "betweenness_exact",
     "compute_timed_fvs",
@@ -52,7 +50,6 @@ __all__ = [
     "count_fen",
     "count_foremost",
     "count_forest",
-    "count_forest_window",
     "count_multicoloured",
     "count_optimal_bf",
     "count_paths_bf",

@@ -10,7 +10,7 @@ bag induces a clique (so an independent set meets a bag in at most one
 vertex), and every bag is a leaf, has one child, or has exactly two
 children with identical vertex content.  Join bags combine colour subsets
 by enumerating submask splits, dividing out the doubly-counted weight of
-the shared selected vertex; that division is always exact and asserted so.
+the shared selected vertex; that division is always exact and checked so.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NotChordalError
+from .errors import InvariantError, NotChordalError
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,8 @@ def count_weighted_mc_is(
                             continue
                         prod = val1 * val2
                         w = instance.weight[sel1]
-                        assert prod % w == 0, "join division is not exact"
+                        if prod % w:
+                            raise InvariantError("join division is not exact")
                         key = (m1 | m2, sel1)
                         table[key] = table.get(key, 0) + prod // w
         entries += len(table)

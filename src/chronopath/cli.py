@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, colourcount, fen, maxbetweenness
@@ -44,19 +43,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_ALGORITHM = 3
 EXIT_BAD_STATS = 4
-
-
-def resolve_threads(flag_value: int | None) -> int:
-    """Thread-count precedence: CLI flag > CHRONOS_THREADS > 1."""
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get("CHRONOS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise EdgeListParseError(f"bad CHRONOS_THREADS value {env!r}") from None
-    return 1
 
 
 def _read_graph(path: str) -> TemporalGraph:
@@ -122,7 +108,6 @@ def _emit(args, payload: dict, text: str) -> None:
 def _add_common(p: argparse.ArgumentParser, needs_pair: bool = True) -> None:
     p.add_argument("--input", "-i", default="-", help="edge-list or JSON file, '-' for stdin")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=None, help="parallelism hint")
     if needs_pair:
         p.add_argument("-s", type=int, required=True, help="start vertex")
         p.add_argument("-z", type=int, required=True, help="target vertex")
@@ -256,11 +241,10 @@ def _cmd_count_optimal(args) -> int:
 def _cmd_betweenness(args) -> int:
     g = _read_graph(args.input)
     counter = _counter_for(args.algo, DispatchCaps())
-    threads = resolve_threads(args.threads)
     vertices = [(_vertex(g, args.vertex))] if args.vertex is not None else list(range(g.n))
     rows = []
     for v in vertices:
-        value = reductions.betweenness_exact(g, v, args.star, counter, threads=threads)
+        value = reductions.betweenness_exact(g, v, args.star, counter)
         rows.append((g.vertex_name(v), value))
     payload = {
         "star": args.star,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, exp, factorial, log
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, InvariantError
 from .graph import TemporalGraph
 from .rng import child_rng
 
@@ -91,7 +91,8 @@ def count_multicoloured(
         nonlocal total
         if not remaining:
             # nxt is the completions table of the full suffix = class pi(1).
-            assert nxt is not None
+            if nxt is None:
+                raise InvariantError("no completions table at the end of an ordering")
             for v, t in incident[s]:
                 cell = nxt.get(v)
                 if cell is not None:

@@ -39,3 +39,7 @@ class NoFeasibleAlgorithmError(ChronopathError):
 
 class InvalidParameterError(ChronopathError, ValueError):
     """A statistical guarantee parameter (epsilon/delta) is out of range."""
+
+
+class InvariantError(ChronopathError):
+    """An internal invariant failed: a bug in the package, not bad input."""

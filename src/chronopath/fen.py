@@ -12,11 +12,11 @@ which the corpus instances stay well under.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import EnumerationLimitError
-from .graph import StaticGraph, TemporalGraph, underlying_graph
+from .forest import advance
+from .graph import StaticGraph, TemporalGraph, _keep_edges, underlying_graph
 
 SEQUENCE_CAP_CONSTANT = 64
 
@@ -46,14 +46,7 @@ def prune_degree_one(g: TemporalGraph, s: int, z: int) -> TemporalGraph:
             degree[w] -= 1
             if degree[w] <= 1 and w not in (s, z):
                 queue.append(w)
-    edges = tuple(e for e in g.time_edges if not removed[e[0]] and not removed[e[1]])
-    return TemporalGraph(
-        n=g.n,
-        time_edges=edges,
-        lifetime=max((t for _, _, t in edges), default=0),
-        vertex_names=g.vertex_names,
-        label_names=None,
-    )
+    return _keep_edges(g, [e for e in g.time_edges if not removed[e[0]] and not removed[e[1]]])
 
 
 def feedback_edge_set(static: StaticGraph) -> frozenset[tuple[int, int]]:
@@ -82,14 +75,6 @@ class CondensedGraph:
 
     terminals: frozenset[int]
     links: tuple[tuple[int, ...], ...]  # vertex sequences, endpoints are terminals
-
-    def incident_links(self) -> dict[int, list[int]]:
-        inc: dict[int, list[int]] = {t: [] for t in self.terminals}
-        for i, link in enumerate(self.links):
-            inc[link[0]].append(i)
-            if link[-1] != link[0]:
-                inc[link[-1]].append(i)
-        return inc
 
 
 def condense(g: TemporalGraph, s: int, z: int) -> CondensedGraph:
@@ -146,41 +131,24 @@ def count_fen(g: TemporalGraph, s: int, z: int) -> int:
     if not pruned.time_edges:
         return 0
     condensed = condense(pruned, s, z)
-    incident = condensed.incident_links()
     f = len(feedback_edge_set(underlying_graph(pruned)))
     cap = _sequence_cap(f)
 
+    # Per terminal, the links leaving it as (far end, label lists in walking
+    # order); each link's lists are built once, in both directions.
+    labels_by_edge = pruned.labels_by_edge
+    moves: dict[int, list[tuple[int, list[tuple[int, ...]]]]] = {
+        t: [] for t in condensed.terminals
+    }
+    for link in condensed.links:
+        lists = [labels_by_edge[(a, b) if a < b else (b, a)] for a, b in zip(link, link[1:])]
+        moves[link[0]].append((link[-1], lists))
+        moves[link[-1]].append((link[0], lists[::-1]))
+
     explored = 0
     total = 0
-    labels_by_edge = pruned.labels_by_edge
 
-    def extend(fn: tuple[list[int], list[int]], seq: tuple[int, ...]):
-        """Advance the label-choice step function along a link; None if dead.
-
-        fn encodes breakpoints (times, cumulative counts): fn evaluated at t
-        is the number of temporal prefixes arriving by time t.
-        """
-        for a, b in zip(seq, seq[1:]):
-            key = (a, b) if a < b else (b, a)
-            ts = labels_by_edge.get(key)
-            if not ts:
-                return None
-            times, values = fn
-            new_times: list[int] = []
-            new_values: list[int] = []
-            running = 0
-            for t in ts:
-                i = bisect_right(times, t)
-                if i:
-                    running += values[i - 1]
-                    new_times.append(t)
-                    new_values.append(running)
-            if not new_times:
-                return None
-            fn = (new_times, new_values)
-        return fn
-
-    def walk(cur: int, fn, used_links: set[int], visited: set[int]) -> None:
+    def walk(cur: int, fn, visited: set[int]) -> None:
         nonlocal explored, total
         explored += 1
         if explored > cap:
@@ -190,22 +158,16 @@ def count_fen(g: TemporalGraph, s: int, z: int) -> int:
         if cur == z:
             total += fn[1][-1]
             return
-        for li in incident[cur]:
-            if li in used_links:
-                continue
-            link = condensed.links[li]
-            seq = link if link[0] == cur else tuple(reversed(link))
-            nxt = seq[-1]
+        # A used link has both ends visited, so the visited check covers it.
+        for nxt, lists in moves[cur]:
             if nxt in visited:
                 continue
-            extended = extend(fn, seq)
+            extended = advance(fn, lists)
             if extended is None:
                 continue
-            used_links.add(li)
             visited.add(nxt)
-            walk(nxt, extended, used_links, visited)
+            walk(nxt, extended, visited)
             visited.remove(nxt)
-            used_links.remove(li)
 
-    walk(s, ([1], [1]), set(), {s})
+    walk(s, ([1], [1]), {s})
     return total

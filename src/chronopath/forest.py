@@ -11,7 +11,8 @@ arrive at time <= t:
 
 Each column F(v_i, .) is a non-decreasing step function with one breakpoint
 per label of the incoming edge, so we store breakpoints instead of dense
-T-length arrays; behaviour is unchanged and long lifetimes stay cheap.
+T-length arrays; long lifetimes stay cheap.  The same step (:func:`advance`)
+drives the feedback-edge engine and the timed-FVS window counts.
 """
 
 from __future__ import annotations
@@ -50,18 +51,30 @@ def static_tree_path(static: StaticGraph, a: int, b: int) -> list[int] | None:
     return path
 
 
-class _StepFunction:
-    """Non-decreasing step function t -> count, encoded as breakpoints."""
+def advance(
+    fn: tuple[list[int], list[int]], label_lists: list[tuple[int, ...]]
+) -> tuple[list[int], list[int]] | None:
+    """Carry a step function across a run of path edges; None once it dies.
 
-    __slots__ = ("times", "values")
-
-    def __init__(self, times: list[int], values: list[int]):
-        self.times = times
-        self.values = values
-
-    def at(self, t: int) -> int:
-        i = bisect_right(self.times, t)
-        return self.values[i - 1] if i else 0
+    ``fn = (times, values)`` lists breakpoints: ``fn`` at t is the number of
+    temporal prefixes arriving by time t.  ``label_lists[i]`` holds the
+    sorted labels of the i-th edge of the run.
+    """
+    for labels in label_lists:
+        times, values = fn
+        new_times: list[int] = []
+        new_values: list[int] = []
+        running = 0
+        for t in labels:
+            i = bisect_right(times, t)
+            if i:
+                running += values[i - 1]
+                new_times.append(t)
+                new_values.append(running)
+        if not new_times:
+            return None
+        fn = (new_times, new_values)
+    return fn
 
 
 def count_path_labels(
@@ -73,53 +86,31 @@ def count_path_labels(
     Only choices with first label >= t_min and last label <= t_max count.
     An empty path has exactly one realization (the trivial path).
     """
-    cur = _StepFunction([t_min], [1])
-    for labels in label_lists:
-        times: list[int] = []
-        values: list[int] = []
-        running = 0
-        for t in labels:  # labels come sorted
-            f = cur.at(t)
-            if f == 0:
-                continue
-            running += f
-            times.append(t)
-            values.append(running)
-        if not times:
-            return 0
-        cur = _StepFunction(times, values)
+    fn = advance(([t_min], [1]), label_lists)
+    if fn is None:
+        return 0
+    times, values = fn
     if t_max is None:
-        return cur.values[-1] if cur.values else 0
-    return cur.at(t_max)
+        return values[-1]
+    i = bisect_right(times, t_max)
+    return values[i - 1] if i else 0
 
 
-def count_forest(g: TemporalGraph, s: int, z: int) -> int:
-    """Number of temporal (s,z)-paths; requires a forest underlying graph."""
+def count_forest(
+    g: TemporalGraph, s: int, z: int, t_min: int = 1, t_max: int | None = None
+) -> int:
+    """Number of temporal (s,z)-paths; requires a forest underlying graph.
+
+    Only paths whose first label is >= t_min and last label <= t_max count;
+    s == z yields 1 (the trivial path waits inside any window).
+    """
+    if t_min < 1 or (t_max is not None and t_max < t_min):
+        raise ValueError(f"bad window [{t_min}, {t_max}]")
     static = underlying_graph(g)
     _require_forest(static)
     if s == z:
         return 1
     path = static_tree_path(static, s, z)
-    if path is None:
-        return 0
-    labels = [g.edge_labels(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    return count_path_labels(labels)
-
-
-def count_forest_window(
-    g: TemporalGraph, a: int, b: int, t_min: int, t_max: int
-) -> int:
-    """Temporal (a,b)-paths whose first label is >= t_min and last <= t_max.
-
-    a == b yields 1 (the trivial path waits inside any window).
-    """
-    if not 1 <= t_min <= t_max:
-        raise ValueError(f"bad window [{t_min}, {t_max}]")
-    static = underlying_graph(g)
-    _require_forest(static)
-    if a == b:
-        return 1
-    path = static_tree_path(static, a, b)
     if path is None:
         return 0
     labels = [g.edge_labels(path[i], path[i + 1]) for i in range(len(path) - 1)]

@@ -79,10 +79,6 @@ def diamond_chain(length: int, label: int = 1) -> TemporalGraph:
     return _finalize(next_id, edges)
 
 
-def diamond_endpoints(g: TemporalGraph) -> tuple[int, int]:
-    return 0, g.n - 1
-
-
 def width_bounded_chain(length: int, width3: bool = True) -> TemporalGraph:
     """Temporal path 0..length with edge (i, i+1) at label i+1.
 

@@ -127,14 +127,6 @@ class StaticGraph:
 
 
 @dataclass(frozen=True)
-class VertexAppearance:
-    """A (vertex, time) pair with 1 <= t <= lifetime."""
-
-    v: int
-    t: int
-
-
-@dataclass(frozen=True)
 class TemporalPath:
     """A temporal (source, target)-path as a sequence of traversed steps.
 
@@ -272,6 +264,21 @@ def underlying_graph(g: TemporalGraph) -> StaticGraph:
     return StaticGraph(n=g.n, edges=frozenset((u, v) for u, v, _ in g.time_edges))
 
 
+def _keep_edges(g: TemporalGraph, edges: list[TimeEdge]) -> TemporalGraph:
+    """``g`` with only ``edges`` (a sorted subset of its time-edges) left.
+
+    Vertices and their names stay; labels keep their absolute values, so the
+    lifetime becomes the largest remaining label and ``label_names`` is dropped.
+    """
+    return TemporalGraph(
+        n=g.n,
+        time_edges=tuple(edges),
+        lifetime=max((t for _, _, t in edges), default=0),
+        vertex_names=g.vertex_names,
+        label_names=None,
+    )
+
+
 def restrict(
     g: TemporalGraph,
     t_lo: int,
@@ -285,15 +292,9 @@ def restrict(
     if not 1 <= t_lo <= t_hi:
         raise ValueError(f"bad window [{t_lo}, {t_hi}]")
     bad = frozenset(forbidden)
-    edges = tuple(
-        e for e in g.time_edges if t_lo <= e[2] <= t_hi and e[0] not in bad and e[1] not in bad
-    )
-    return TemporalGraph(
-        n=g.n,
-        time_edges=edges,
-        lifetime=max((t for _, _, t in edges), default=0),
-        vertex_names=g.vertex_names,
-        label_names=None,
+    return _keep_edges(
+        g,
+        [e for e in g.time_edges if t_lo <= e[2] <= t_hi and e[0] not in bad and e[1] not in bad],
     )
 
 
@@ -301,14 +302,7 @@ def without_static_edge(g: TemporalGraph, u: int, v: int) -> TemporalGraph:
     """Drop every appearance of the static edge {u, v}."""
     if u > v:
         u, v = v, u
-    edges = tuple(e for e in g.time_edges if (e[0], e[1]) != (u, v))
-    return TemporalGraph(
-        n=g.n,
-        time_edges=edges,
-        lifetime=max((t for _, _, t in edges), default=0),
-        vertex_names=g.vertex_names,
-        label_names=None,
-    )
+    return _keep_edges(g, [e for e in g.time_edges if (e[0], e[1]) != (u, v)])
 
 
 def earliest_reach(g: TemporalGraph, s: int, min_label: int = 1) -> list[int | None]:

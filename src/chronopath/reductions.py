@@ -14,7 +14,6 @@ of the original graph.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable
 
@@ -40,10 +39,16 @@ def count_foremost(g: TemporalGraph, s: int, z: int, counter: Counter) -> int:
 
 
 def _fastest_windows(g: TemporalGraph, s: int, z: int) -> list[tuple[int, int]]:
+    """The windows [t0, t0 + d] of the fastest duration d that can hold a path.
+
+    A path inside [t0, t0 + d] lasts at least d, so it leaves s at exactly
+    t0; every other window counts 0 and is skipped.
+    """
     d = fastest_duration(g, s, z)
     if d is None:
         return []
-    return [(t0, t0 + d) for t0 in range(1, g.lifetime - d + 1)]
+    starts = sorted({t for _, t in g.incident[s] if t + d <= g.lifetime})
+    return [(t0, t0 + d) for t0 in starts]
 
 
 def count_fastest(g: TemporalGraph, s: int, z: int, counter: Counter) -> int:
@@ -80,28 +85,14 @@ def sigma_through(
     raise ValueError(f"unknown optimality criterion {star!r}")
 
 
-def betweenness_exact(
-    g: TemporalGraph, v: int, star: str, counter: Counter, threads: int = 1
-) -> Fraction:
+def betweenness_exact(g: TemporalGraph, v: int, star: str, counter: Counter) -> Fraction:
     """Exact temporal betweenness of v based on *-optimal paths."""
     matrix = connectivity_matrix(g)
-    pairs = [
-        (s, z)
-        for s in range(g.n)
-        for z in range(g.n)
-        if s != z and v not in (s, z) and matrix[s][z]
-    ]
-
-    def term(pair: tuple[int, int]) -> Fraction:
-        s, z = pair
-        sigma, through = sigma_through(g, s, z, v, star, counter)
-        if sigma == 0:
-            return Fraction(0)
-        return Fraction(through, sigma)
-
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(term, pairs))
-    else:
-        terms = [term(p) for p in pairs]
-    return sum(terms, Fraction(0))
+    total = Fraction(0)
+    for s in range(g.n):
+        for z in range(g.n):
+            if s != z and v not in (s, z) and matrix[s][z]:
+                sigma, through = sigma_through(g, s, z, v, star, counter)
+                if sigma:
+                    total += Fraction(through, sigma)
+    return total

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import random
 
+from .errors import InvariantError
+
 
 def derive_seed(seed: int, *path: object) -> int:
     material = ":".join([str(seed)] + [str(p) for p in path]).encode()
@@ -36,4 +38,4 @@ def weighted_index(rng: random.Random, weights: list[int]) -> int:
         acc += w
         if r < acc:
             return i
-    raise AssertionError("unreachable")
+    raise InvariantError("weighted choice ran past the total weight")

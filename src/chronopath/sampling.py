@@ -30,15 +30,10 @@ from .rng import child_rng, weighted_index
 
 @dataclass
 class SamplerConfig:
-    """Counter to drive the self-reduction, tolerance, and master seed."""
+    """The counter that drives the self-reduction, and the master seed."""
 
     counter: Counter
-    delta: float = 0.0
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.delta <= 1:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
 
 
 def _as_integer_weights(weights: list) -> list[int]:

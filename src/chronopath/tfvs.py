@@ -27,24 +27,17 @@ from itertools import permutations, product
 from math import factorial
 
 from .chordal import ChordalInstance, count_weighted_mc_is
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, EnumerationLimitError, NotAForestError
 from .forest import count_path_labels
-from .graph import StaticGraph, TemporalGraph, underlying_graph
+from .graph import StaticGraph, TemporalGraph, _keep_edges, underlying_graph
 
 Appearance = tuple[int, int]  # (vertex, time)
 
 
 def delete_appearances(g: TemporalGraph, x: frozenset[Appearance]) -> TemporalGraph:
     """Remove every time-edge with an endpoint appearance in x."""
-    edges = tuple(
-        e for e in g.time_edges if (e[0], e[2]) not in x and (e[1], e[2]) not in x
-    )
-    return TemporalGraph(
-        n=g.n,
-        time_edges=edges,
-        lifetime=max((t for _, _, t in edges), default=0),
-        vertex_names=g.vertex_names,
-        label_names=None,
+    return _keep_edges(
+        g, [e for e in g.time_edges if (e[0], e[2]) not in x and (e[1], e[2]) not in x]
     )
 
 
@@ -220,7 +213,8 @@ def count_tfvs(
 
     residual = delete_appearances(g2, x)
     forest = underlying_graph(residual)
-    assert forest.is_forest
+    if not forest.is_forest:
+        raise NotAForestError("residual graph of the timed feedback vertex set has a cycle")
 
     # Forest structure for unique-path queries.
     parent = list(range(g2.n))
@@ -313,7 +307,7 @@ def count_tfvs(
             order = [(s2, 1, "I"), *perm, (z2, lifetime, "O")]
             patterns_seen += 1
             if patterns_seen > max_patterns:
-                raise AssertionError("pattern enumeration exceeded its proven bound")
+                raise EnumerationLimitError("pattern enumeration exceeded its proven bound")
             if not _order_admissible(order, s2, z2):
                 continue
             total += _pattern_weight(

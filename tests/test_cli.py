@@ -249,13 +249,3 @@ def test_chordal_mcis_debug_subcommand():
     code, _, _ = run_cli(["--help"])
     # hidden from the subcommand listing but callable
     assert code == 0
-
-
-def test_threads_env(monkeypatch):
-    from chronopath.cli import resolve_threads
-
-    monkeypatch.delenv("CHRONOS_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    monkeypatch.setenv("CHRONOS_THREADS", "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(2) == 2

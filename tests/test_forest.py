@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chronopath.errors import NotAForestError
-from chronopath.forest import count_forest, count_forest_window
+from chronopath.forest import count_forest
 from chronopath.generate import random_forest_graph
 from chronopath.oracle import count_paths_bf, iter_paths
 
@@ -23,14 +23,14 @@ def test_count_forest_rejects_cycles():
     with pytest.raises(NotAForestError):
         count_forest(I5, 0, 2)
     with pytest.raises(NotAForestError):
-        count_forest_window(I5, 0, 2, 1, 2)
+        count_forest(I5, 0, 2, 1, 2)
 
 
 def test_window_examples():
-    assert count_forest_window(I1, 0, 2, 1, 2) == 1
-    assert count_forest_window(I1, 0, 2, 2, 2) == 0
-    assert count_forest_window(I1, 0, 2, 1, 1) == 0
-    assert count_forest_window(I1, 1, 1, 1, 2) == 1
+    assert count_forest(I1, 0, 2, 1, 2) == 1
+    assert count_forest(I1, 0, 2, 2, 2) == 0
+    assert count_forest(I1, 0, 2, 1, 1) == 0
+    assert count_forest(I1, 1, 1, 1, 2) == 1
 
 
 def test_window_widening_is_monotone(rng):
@@ -44,7 +44,7 @@ def test_window_widening_is_monotone(rng):
         prev = 0
         for width in range(g.lifetime + 1):
             lo, hi = max(1, centre - width), min(g.lifetime, centre + width)
-            value = count_forest_window(g, a, b, lo, hi)
+            value = count_forest(g, a, b, lo, hi)
             assert value >= prev
             prev = value
 
@@ -72,4 +72,4 @@ def test_window_against_oracle():
             for p in iter_paths(g, a, b)
             if p.steps and p.start_time >= lo and p.arrival_time <= hi
         )
-        assert count_forest_window(g, a, b, lo, hi) == want
+        assert count_forest(g, a, b, lo, hi) == want

@@ -10,6 +10,7 @@ from chronopath.oracle import (
     iter_paths,
 )
 from chronopath.reductions import (
+    _fastest_windows,
     betweenness_exact,
     count_fastest,
     count_foremost,
@@ -73,12 +74,17 @@ def test_betweenness_matches_oracle(rng):
                 assert got == want and isinstance(got, Fraction)
 
 
-def test_betweenness_threads_agree(rng):
-    g = random_instance(rng, n_hi=7, m_hi=12)
-    for v in range(g.n):
-        single = betweenness_exact(g, v, "foremost", count_fen, threads=1)
-        multi = betweenness_exact(g, v, "foremost", count_fen, threads=4)
-        assert single == multi
+def test_fastest_windows_start_at_labels_of_s(rng):
+    # A path inside [t0, t0 + d] lasts at least d, so it leaves s at t0.
+    for _ in range(60):
+        g = random_instance(rng, n_hi=7, m_hi=12)
+        for s in range(g.n):
+            s_labels = {t for _, t in g.incident[s]}
+            for z in range(g.n):
+                if s == z:
+                    continue
+                for t0, t1 in _fastest_windows(g, s, z):
+                    assert t0 in s_labels and t1 <= g.lifetime
 
 
 def test_fastest_window_disjointness(rng):
