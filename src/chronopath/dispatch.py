@@ -73,19 +73,30 @@ def dispatch_count(
     algo: str = "auto",
     caps: DispatchCaps = DispatchCaps(),
     tfvs_set=None,
+    *,
+    selected: bool = False,
 ) -> int:
+    """Number of temporal (s,z)-paths, counted by the engine ``algo``.
+
+    ``auto`` picks the engine with :func:`select_algorithm`.  A caller that
+    has already called it on ``g`` passes its choice as ``algo`` and
+    ``tfvs_set`` with ``selected=True``, so the choice is made once and an
+    oracle fallback still keeps auto's enumeration cap; an ``oracle`` asked
+    for by name is uncapped.
+    """
     if algo == "auto":
         algo, tfvs_set = select_algorithm(g, caps, tfvs_set)
-        if algo == "oracle":
-            try:
-                return len(oracle.enumerate_paths(g, s, z, limit=caps.oracle_limit))
-            except EnumerationLimitError:
-                raise NoFeasibleAlgorithmError(
-                    "all structural parameters exceed their caps and the "
-                    "instance is too large for brute force"
-                ) from None
+        selected = True
     if algo == "oracle":
-        return oracle.count_paths_bf(g, s, z)
+        if not selected:
+            return oracle.count_paths_bf(g, s, z)
+        try:
+            return len(oracle.enumerate_paths(g, s, z, limit=caps.oracle_limit))
+        except EnumerationLimitError:
+            raise NoFeasibleAlgorithmError(
+                "all structural parameters exceed their caps and the "
+                "instance is too large for brute force"
+            ) from None
     if algo == "forest":
         return forest.count_forest(g, s, z)
     if algo == "vimw":

@@ -256,6 +256,15 @@ def from_json(text: str) -> TemporalGraph:
         raise EdgeListParseError(f"bad JSON graph document: {exc}") from None
     if any(not (0 <= u < n and 0 <= v < n) for u, v, _ in edges):
         raise EdgeListParseError("vertex id out of range in JSON document")
+    if "T" in doc:
+        # T = 0 is the lifetime to_json writes for a graph with no edges.
+        lifetime = doc["T"]
+        top = max((t for _, _, t in edges), default=0)
+        if isinstance(lifetime, bool) or not isinstance(lifetime, int) or lifetime < max(top, 0):
+            raise EdgeListParseError(
+                f'bad JSON graph document: "T" must be an integer >= every time label, '
+                f"got {lifetime!r}"
+            )
     return _normalize(n, edges, None)
 
 

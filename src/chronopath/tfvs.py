@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from itertools import permutations, product
 from math import factorial
+from typing import Iterable
 
 from .chordal import ChordalInstance, count_weighted_mc_is
 from .errors import BudgetExceededError, EnumerationLimitError, NotAForestError
 from .forest import count_path_labels
-from .graph import StaticGraph, TemporalGraph, _keep_edges, underlying_graph
+from .graph import TemporalGraph, TimeEdge, _keep_edges, underlying_graph
 
 Appearance = tuple[int, int]  # (vertex, time)
 
@@ -45,22 +46,52 @@ def is_timed_fvs(g: TemporalGraph, x: frozenset[Appearance]) -> bool:
     return underlying_graph(delete_appearances(g, x)).is_forest
 
 
-def _shortest_cycle_edges(static: StaticGraph) -> list[tuple[int, int]] | None:
-    """Edges of a shortest cycle, or None if the graph is a forest."""
+def _two_core(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Adjacency of the 2-core: vertices of degree <= 1 peeled until none is left.
+
+    This is the k = 2 case of Batagelj and Zaversnik's O(m) core
+    decomposition.  The 2-core is an induced subgraph and holds every
+    cycle; it is empty iff the graph is a forest.
+    """
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    stack = [v for v, nb in adj.items() if len(nb) <= 1]
+    while stack:
+        v = stack.pop()
+        for w in adj.pop(v):
+            nb = adj[w]
+            nb.discard(v)
+            if len(nb) == 1:
+                stack.append(w)
+    return adj
+
+
+def _shortest_cycle_edges(core: dict[int, set[int]]) -> list[tuple[int, int]] | None:
+    """Edges of a shortest cycle of a graph, given its 2-core; None if a forest.
+
+    The first strictly shortest cycle found scanning edges in sorted order,
+    each closed by a BFS that avoids the edge itself.  Edges off the 2-core
+    lie on no cycle, so only the 2-core is scanned.  A BFS stops once its
+    next level cannot close a strictly shorter cycle, and the scan stops at
+    the first triangle.
+    """
+    adj = {v: sorted(nb) for v, nb in core.items()}
     best: list[tuple[int, int]] | None = None
-    for u0, v0 in sorted(static.edges):
-        # Shortest u0..v0 path avoiding the edge itself closes a shortest
-        # cycle through that edge.
+    for u0, v0 in sorted((u, v) for u, nb in adj.items() for v in nb if u < v):
         parent = {u0: u0}
         frontier = [u0]
+        # A v0 reached from this frontier closes a cycle of `closing` edges.
+        closing = 2
         found = False
         while frontier and not found:
+            if best is not None and closing >= len(best):
+                break
             nxt = []
             for a in frontier:
-                for b in static.adj[a]:
-                    if (min(a, b), max(a, b)) == (u0, v0):
-                        continue
-                    if b in parent:
+                for b in adj[a]:
+                    if b in parent or (a == u0 and b == v0):
                         continue
                     parent[b] = a
                     if b == v0:
@@ -70,15 +101,16 @@ def _shortest_cycle_edges(static: StaticGraph) -> list[tuple[int, int]] | None:
                 if found:
                     break
             frontier = nxt
+            closing += 1
         if not found:
             continue
         path = [v0]
         while path[-1] != u0:
             path.append(parent[path[-1]])
-        cycle = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
-        cycle.append((u0, v0))
-        if best is None or len(cycle) < len(best):
-            best = cycle
+        best = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
+        best.append((u0, v0))
+        if len(best) == 3:
+            break
     return best
 
 
@@ -89,41 +121,68 @@ def compute_timed_fvs(
 
     Iterative-deepening branching: while the residual underlying graph has
     a cycle, some appearance that deletes one of that cycle's time-edges
-    must enter the set, so we branch over exactly those appearances.
+    must enter the set, so we branch over exactly those appearances, in
+    sorted order, on the shortest cycle that :func:`_shortest_cycle_edges`
+    returns.  The result is the first minimum set in that branching order.
     Raises BudgetExceededError if no set of size <= budget exists.
-    """
 
-    def search(x: set[Appearance], remaining: int) -> frozenset[Appearance] | None:
-        residual = delete_appearances(g, frozenset(x))
-        cycle = _shortest_cycle_edges(underlying_graph(residual))
-        if cycle is None:
-            return frozenset(x)
+    Four rules keep the search cheap; none changes which set is returned
+    or when the budget is exceeded:
+
+    (a) The cycle scan runs on the 2-core only, and each BFS in it stops
+        as soon as it cannot beat the best cycle so far.
+    (b) Each node's residual is its parent's, less the time-edges of the
+        one appearance added, cut down to its 2-core (a node's 2-core only
+        shrinks further down); no graph objects are built per node.
+    (c) A node with no depth left only checks that its residual is a
+        forest; it needs no shortest cycle.
+    (d) One memo per search, keyed by the set and kept for inner nodes
+        only, holds the sorted candidates and the largest remaining depth
+        known to fail.  The orderings of one set and the repeated
+        shallower levels of iterative deepening then compute candidates
+        once.  Failure at depth r implies failure at every depth <= r, so
+        pruning on it skips only subtrees that find nothing.  The memo
+        holds no residuals, which keeps memory flat.
+    """
+    removes: dict[Appearance, set[TimeEdge]] = {}
+    for e in g.time_edges:
+        removes.setdefault((e[0], e[2]), set()).add(e)
+        removes.setdefault((e[1], e[2]), set()).add(e)
+    memo: dict[frozenset[Appearance], list] = {}
+
+    def search(
+        x: frozenset[Appearance], edges: set[TimeEdge], remaining: int
+    ) -> frozenset[Appearance] | None:
         if remaining == 0:
+            return None if _two_core({(u, v) for u, v, _ in edges}) else x
+        entry = memo.get(x)
+        if entry is None:
+            core = _two_core({(u, v) for u, v, _ in edges})
+            if not core:
+                return x
+            edges = {e for e in edges if e[0] in core and e[1] in core}
+            cycle = set(_shortest_cycle_edges(core))
+            candidates = tuple(sorted(
+                {(w, t) for u, v, t in edges if (u, v) in cycle for w in (u, v)}
+            ))
+            entry = memo[x] = [candidates, -1]
+        elif entry[1] >= remaining:
             return None
-        cycle_edges = set(cycle)
-        candidates = sorted(
-            {
-                (w, t)
-                for u, v, t in residual.time_edges
-                if (u, v) in cycle_edges
-                for w in (u, v)
-            }
-        )
-        for a in candidates:
-            x.add(a)
-            result = search(x, remaining - 1)
-            x.discard(a)
+        for a in entry[0]:
+            result = search(x | {a}, edges - removes[a], remaining - 1)
             if result is not None:
                 return result
+        entry[1] = remaining
         return None
 
+    edges = set(g.time_edges)
     depth = 0
     while True:
         if budget is not None and depth > budget:
             raise BudgetExceededError(
                 f"no timed feedback vertex set of size <= {budget}"
             )
-        result = search(set(), depth)
+        result = search(frozenset(), edges, depth)
         if result is not None:
             return result
         depth += 1

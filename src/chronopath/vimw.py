@@ -58,11 +58,17 @@ def _edge_window(g: TemporalGraph) -> tuple[dict[int, int], dict[int, int]]:
 def vim_sequence(g: TemporalGraph) -> VIMSequence:
     """Exact vertex interval membership sequence of g."""
     first, last = _edge_window(g)
+    enters: dict[int, list[int]] = defaultdict(list)
+    leaves: dict[int, list[int]] = defaultdict(list)
+    for v in first:
+        enters[first[v]].append(v)
+        leaves[last[v]].append(v)
+    bag: set[int] = set()
     bags = []
     for t in range(1, g.lifetime + 1):
-        bags.append(
-            frozenset(v for v in first if first[v] <= t <= last[v])
-        )
+        bag.update(enters[t])
+        bags.append(frozenset(bag))
+        bag.difference_update(leaves[t])
     return VIMSequence(bags=tuple(bags))
 
 

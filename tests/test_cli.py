@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from chronopath.dispatch import DispatchCaps, dispatch_count
-from chronopath.errors import NoFeasibleAlgorithmError
+from chronopath.errors import EdgeListParseError, NoFeasibleAlgorithmError
+from chronopath.graph import from_json, to_json
 from chronopath.oracle import count_paths_bf
 
 from conftest import make_graph, random_instance
@@ -85,6 +86,38 @@ def test_no_feasible_algorithm_exit_3():
         dense_clique_text(),
     )
     assert code == 3
+
+
+def test_count_auto_selects_once(tmp_path, monkeypatch, capsys):
+    """The oracle fallback of `count --algo auto` is chosen once and keeps its cap."""
+    from chronopath import cli, dispatch
+
+    calls = []
+    select = dispatch.select_algorithm
+
+    def counting_select(*args, **kwargs):
+        calls.append(args)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(dispatch, "select_algorithm", counting_select)
+    monkeypatch.setattr(cli, "select_algorithm", counting_select)
+    path = tmp_path / "clique.txt"
+    path.write_text(dense_clique_text())
+    no_engine = ["--vimw-cap", "0", "--tfvs-cap", "0", "--fen-cap", "0"]
+    code = cli.main(["count", "-s", "0", "-z", "5", "-i", str(path), "--format", "json", *no_engine])
+    assert code == 0
+    g = make_graph(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6)])
+    assert json.loads(capsys.readouterr().out) == {
+        "count": str(count_paths_bf(g, 0, 5)), "algo": "oracle",
+    }
+    assert len(calls) == 1
+    calls.clear()
+    code = cli.main(["count", "-s", "0", "-z", "5", "-i", str(path), *no_engine, "--oracle-limit", "2"])
+    assert code == 3 and len(calls) == 1
+    assert "too large for brute force" in capsys.readouterr().err
+    with pytest.raises(NoFeasibleAlgorithmError):
+        dispatch_count(g, 0, 5, algo="oracle", caps=DispatchCaps(oracle_limit=2), selected=True)
+    assert dispatch_count(g, 0, 5, algo="oracle", caps=DispatchCaps(oracle_limit=2)) == 65
 
 
 def test_dispatch_routing(rng):
@@ -208,6 +241,40 @@ def test_json_input_accepted():
     doc = json.dumps({"n": 3, "T": 2, "edges": [[0, 1, 1], [1, 2, 2]]})
     code, out, _ = run_cli(["count", "-s", "0", "-z", "2"], doc)
     assert code == 0 and out.strip() == "1"
+
+
+def test_json_lifetime_validated():
+    edges = [[0, 1, 1], [1, 2, 2]]
+    for bad in (1, "x"):
+        doc = json.dumps({"n": 3, "T": bad, "edges": edges})
+        code, _, err = run_cli(["count", "-s", "0", "-z", "2"], doc)
+        assert code == 2 and '"T"' in err, bad
+    for bad in (0, -1, 2.5, True, None):
+        with pytest.raises(EdgeListParseError):
+            from_json(json.dumps({"n": 3, "T": bad, "edges": edges}))
+    assert from_json(json.dumps({"n": 3, "T": 7, "edges": edges})).lifetime == 2
+    # A graph without edges is written with T = 0 and reads back.
+    empty = make_graph(2, [])
+    assert to_json(empty) == '{"n": 2, "T": 0, "edges": []}'
+    assert from_json(to_json(empty)) == empty
+
+
+def test_params_on_large_forest():
+    """The timed-FVS search on a 5,000-edge forest is linear: no cycle scan per edge."""
+    from chronopath.generate import width_bounded_chain
+    from chronopath.graph import to_text
+
+    # A BFS from every edge, quadratic on a forest, takes about 25 s on this input.
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronopath.cli", "params", "--format", "json"],
+        input=to_text(width_bounded_chain(2500)).encode(),
+        capture_output=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["time_edges"] == 5000 and doc["is_forest"]
+    assert doc["timed_fvs_size"] == 0
 
 
 def test_params_subcommand():

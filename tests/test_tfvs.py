@@ -5,8 +5,11 @@ import pytest
 from chronopath.errors import BudgetExceededError
 from chronopath.forest import count_forest
 from chronopath.generate import random_forest_graph
+from chronopath.graph import StaticGraph, underlying_graph
 from chronopath.oracle import count_paths_bf
 from chronopath.tfvs import (
+    _shortest_cycle_edges,
+    _two_core,
     compute_timed_fvs,
     count_tfvs,
     delete_appearances,
@@ -31,6 +34,103 @@ def minimum_size_bruteforce(g, limit=3):
             if is_timed_fvs(g, frozenset(subset)):
                 return size
     return None
+
+
+def _reference_shortest_cycle_edges(static: StaticGraph):
+    """The plain cycle scan: one BFS from every static edge of the whole graph."""
+    best = None
+    for u0, v0 in sorted(static.edges):
+        # Shortest u0..v0 path avoiding the edge itself closes a shortest
+        # cycle through that edge.
+        parent = {u0: u0}
+        frontier = [u0]
+        found = False
+        while frontier and not found:
+            nxt = []
+            for a in frontier:
+                for b in static.adj[a]:
+                    if (min(a, b), max(a, b)) == (u0, v0):
+                        continue
+                    if b in parent:
+                        continue
+                    parent[b] = a
+                    if b == v0:
+                        found = True
+                        break
+                    nxt.append(b)
+                if found:
+                    break
+            frontier = nxt
+        if not found:
+            continue
+        path = [v0]
+        while path[-1] != u0:
+            path.append(parent[path[-1]])
+        cycle = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
+        cycle.append((u0, v0))
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    return best
+
+
+def _reference_timed_fvs(g, budget=None):
+    """The plain branching search: graphs rebuilt and the cycle rescanned at every node."""
+
+    def search(x, remaining):
+        residual = delete_appearances(g, frozenset(x))
+        cycle = _reference_shortest_cycle_edges(underlying_graph(residual))
+        if cycle is None:
+            return frozenset(x)
+        if remaining == 0:
+            return None
+        cycle_edges = set(cycle)
+        candidates = sorted(
+            {
+                (w, t)
+                for u, v, t in residual.time_edges
+                if (u, v) in cycle_edges
+                for w in (u, v)
+            }
+        )
+        for a in candidates:
+            x.add(a)
+            result = search(x, remaining - 1)
+            x.discard(a)
+            if result is not None:
+                return result
+        return None
+
+    depth = 0
+    while True:
+        if budget is not None and depth > budget:
+            raise BudgetExceededError(
+                f"no timed feedback vertex set of size <= {budget}"
+            )
+        result = search(set(), depth)
+        if result is not None:
+            return result
+        depth += 1
+
+
+def _outcome(search, g, budget):
+    try:
+        return search(g, budget=budget)
+    except BudgetExceededError as exc:
+        return ("exceeded", str(exc))
+
+
+def test_search_matches_reference(rng):
+    """Same set, or the same budget error, as the plain search; same shortest cycle."""
+    kinds = set()
+    for i in range(320):
+        g = random_instance(rng, n_hi=9, t_hi=7, m_hi=20)
+        budget = i % 5
+        want = _outcome(_reference_timed_fvs, g, budget)
+        assert _outcome(compute_timed_fvs, g, budget) == want, (g.time_edges, budget)
+        kinds.add(len(want) if isinstance(want, frozenset) else "exceeded")
+        static = underlying_graph(g)
+        assert _shortest_cycle_edges(_two_core(static.edges)) == _reference_shortest_cycle_edges(static)
+    assert {0, 1, 2, 3, "exceeded"} <= kinds
 
 
 def test_compute_examples():
