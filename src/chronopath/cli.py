@@ -225,10 +225,7 @@ def _cmd_count_optimal(args) -> int:
     g = _read_graph(args.input)
     s, z = _vertex(g, args.s), _vertex(g, args.z)
     counter = _counter_for(args.algo, DispatchCaps())
-    if args.star == "foremost":
-        value = reductions.count_foremost(g, s, z, counter)
-    else:
-        value = reductions.count_fastest(g, s, z, counter)
+    value, _ = reductions.sigma_through(g, s, z, (), args.star, counter)
     _emit(args, {"count": str(value), "star": args.star}, str(value))
     return EXIT_OK
 
@@ -237,10 +234,8 @@ def _cmd_betweenness(args) -> int:
     g = _read_graph(args.input)
     counter = _counter_for(args.algo, DispatchCaps())
     vertices = [(_vertex(g, args.vertex))] if args.vertex is not None else list(range(g.n))
-    rows = []
-    for v in vertices:
-        value = reductions.betweenness_exact(g, v, args.star, counter)
-        rows.append((g.vertex_name(v), value))
+    values = reductions.betweenness_exact(g, vertices, args.star, counter)
+    rows = [(g.vertex_name(v), value) for v, value in zip(vertices, values)]
     payload = {
         "star": args.star,
         "betweenness": {str(name): str(value) for name, value in rows},

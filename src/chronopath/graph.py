@@ -250,17 +250,22 @@ def to_json(g: TemporalGraph) -> str:
 def from_json(text: str) -> TemporalGraph:
     doc = json.loads(text)
     try:
-        n = int(doc["n"])
-        edges = [(int(u), int(v), int(t)) for u, v, t in doc["edges"]]
+        n = doc["n"]
+        edges = [(u, v, t) for u, v, t in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise EdgeListParseError(f"bad JSON graph document: {exc}") from None
+    # type(x) is int, unlike isinstance, also rejects true and false.
+    if type(n) is not int or n < 0 or any(type(x) is not int for e in edges for x in e):
+        raise EdgeListParseError(
+            'bad JSON graph document: "n" and every edge field must be integers, "n" >= 0'
+        )
     if any(not (0 <= u < n and 0 <= v < n) for u, v, _ in edges):
         raise EdgeListParseError("vertex id out of range in JSON document")
     if "T" in doc:
         # T = 0 is the lifetime to_json writes for a graph with no edges.
         lifetime = doc["T"]
         top = max((t for _, _, t in edges), default=0)
-        if isinstance(lifetime, bool) or not isinstance(lifetime, int) or lifetime < max(top, 0):
+        if type(lifetime) is not int or lifetime < max(top, 0):
             raise EdgeListParseError(
                 f'bad JSON graph document: "T" must be an integer >= every time label, '
                 f"got {lifetime!r}"

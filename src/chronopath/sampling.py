@@ -10,9 +10,9 @@ output distribution is exactly uniform (all arithmetic is integer; no
 float bias); with an eps'-approximate counter per-step errors compound to
 the usual almost-uniform guarantee.
 
-Foremost and fastest paths are sampled by first applying the optimal-count
-restrictions: cap the lifetime at the earliest arrival, or pick a fastest
-window proportionally to its path count and sample inside it.
+Foremost and fastest paths are sampled inside the pair's optimal windows
+(:func:`reductions.optimal_windows`): pick a window proportionally to its
+path count and sample inside it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CounterFailureError, NoPathError
-from .graph import TemporalGraph, TemporalPath, earliest_arrival, restrict
-from .reductions import Counter, _fastest_windows
+# earliest_arrival is unused, but perfbench/tracing.py patches it here.
+from .graph import TemporalGraph, TemporalPath, earliest_arrival, restrict  # noqa: F401
+from .reductions import Counter, optimal_windows
 from .rng import child_rng, weighted_index
 
 
@@ -49,7 +50,9 @@ class PathSampler:
 
     Residual counter values are cached across samples: the residual
     instance is determined by (next vertex, label cutoff, visited set), and
-    repeated draws hit the same residuals constantly.
+    repeated draws hit the same residuals constantly.  Each walk state
+    (current vertex, label cutoff, visited set) likewise keeps its options
+    and their integer weights, so a repeated step costs one draw.
     """
 
     def __init__(self, g: TemporalGraph, s: int, z: int, counter: Counter):
@@ -58,6 +61,7 @@ class PathSampler:
         self.z = z
         self.counter = counter
         self._cache: dict[tuple[int, int, frozenset[int]], int | Fraction] = {}
+        self._steps: dict[tuple[int, int, frozenset[int]], tuple[list, list[int]]] = {}
 
     def _completions(self, v: int, min_label: int, visited: frozenset[int]):
         key = (v, min_label, visited)
@@ -71,39 +75,42 @@ class PathSampler:
             self._cache[key] = value
         return value
 
+    def _options(self, cur: int, min_label: int, visited: frozenset[int]):
+        """The next time-edges (w, t) out of a walk state, and their integer weights."""
+        key = (cur, min_label, visited)
+        step = self._steps.get(key)
+        if step is None:
+            options: list[tuple[int, int]] = []
+            weights: list = []
+            for w, t in self.g.incident[cur]:
+                if t < min_label or w in visited:
+                    continue
+                weight = self._completions(w, t, visited)
+                if weight > 0:
+                    options.append((w, t))
+                    weights.append(weight)
+            step = self._steps[key] = (options, _as_integer_weights(weights))
+        return step
+
     def total_count(self):
         return self._completions(self.s, 1, frozenset())
 
     def sample(self, rng: random.Random) -> TemporalPath:
         if self.s == self.z:
             return TemporalPath(source=self.s)
-        cur = self.s
-        min_label = 1
-        visited: set[int] = set()
+        cur, min_label, visited = self.s, 1, frozenset((self.s,))
         steps: list[tuple[int, int, int]] = []
         while cur != self.z:
-            visited_key = frozenset(visited | {cur})
-            options: list[tuple[int, int]] = []
-            weights: list = []
-            for w, t in self.g.incident[cur]:
-                if t < min_label or w in visited or w == cur:
-                    continue
-                weight = self._completions(w, t, visited_key)
-                if weight > 0:
-                    options.append((w, t))
-                    weights.append(weight)
+            options, weights = self._options(cur, min_label, visited)
             if not options:
                 if not steps:
                     raise NoPathError(f"no temporal ({self.s},{self.z})-path")
                 raise CounterFailureError(
                     "counter reported completions where none exist"
                 )
-            choice = weighted_index(rng, _as_integer_weights(weights))
-            w, t = options[choice]
+            w, t = options[weighted_index(rng, weights)]
             steps.append((cur, w, t))
-            visited.add(cur)
-            cur = w
-            min_label = t
+            cur, min_label, visited = w, t, visited | {w}
         return TemporalPath(source=self.s, steps=tuple(steps))
 
 
@@ -119,30 +126,16 @@ class OptimalPathSampler:
     """Reusable sampler for *-optimal (s,z)-paths (foremost or fastest)."""
 
     def __init__(self, g: TemporalGraph, s: int, z: int, star: str, counter: Counter):
-        if star not in ("foremost", "fastest"):
-            raise ValueError(f"unknown optimality criterion {star!r}")
-        self.star = star
         self.s = s
+        self.trivial = s == z
         self.window_samplers: list[PathSampler] = []
         self.window_weights: list[int] = []
-        if star == "foremost":
-            t_star = earliest_arrival(g, s, z) if s != z else 1
-            if s != z and t_star is not None:
-                restricted = restrict(g, 1, t_star)
-                sampler = PathSampler(restricted, s, z, counter)
-                count = sampler.total_count()
-                if count > 0:
-                    self.window_samplers.append(sampler)
-                    self.window_weights.append(count)
-        else:
-            for lo, hi in _fastest_windows(g, s, z):
-                restricted = restrict(g, lo, hi)
-                sampler = PathSampler(restricted, s, z, counter)
-                count = sampler.total_count()
-                if count > 0:
-                    self.window_samplers.append(sampler)
-                    self.window_weights.append(count)
-        self.trivial = s == z
+        for lo, hi in [] if self.trivial else optimal_windows(g, s, z, star):
+            sampler = PathSampler(restrict(g, lo, hi), s, z, counter)
+            count = sampler.total_count()
+            if count > 0:
+                self.window_samplers.append(sampler)
+                self.window_weights.append(count)
 
     def sample(self, rng: random.Random) -> TemporalPath:
         if self.trivial:

@@ -120,9 +120,7 @@ _exact_cache: dict = {}
 def exact_betweenness_all(g: TemporalGraph, idx: int, star: str) -> list[Fraction]:
     key = (idx, star)
     if key not in _exact_cache:
-        _exact_cache[key] = [
-            betweenness_exact(g, v, star, count_fen) for v in range(g.n)
-        ]
+        _exact_cache[key] = betweenness_exact(g, range(g.n), star, count_fen)
     return _exact_cache[key]
 
 

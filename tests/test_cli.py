@@ -259,6 +259,22 @@ def test_json_lifetime_validated():
     assert from_json(to_json(empty)) == empty
 
 
+def test_json_fields_must_be_integers():
+    # int() used to truncate floats and parse strings, and a negative n
+    # crashed later; the edge-list parser rejects all of these.
+    for doc in (
+        {"n": 3, "edges": [[0, 1.9, 2.5], ["1", 2, 3]]},
+        {"n": -2, "edges": []},
+        {"n": True, "edges": [[0, 1, 1]]},
+        {"n": 3, "edges": [[0, 1, True]]},
+    ):
+        code, out, err = run_cli(["params", "--format", "json"], json.dumps(doc))
+        assert code == 2 and out == "" and "bad JSON graph document" in err, doc
+    for bad in ({"n": 3.0, "edges": []}, {"n": "3", "edges": []}, {"n": 3, "edges": [[0, 1, "2"]]}):
+        with pytest.raises(EdgeListParseError):
+            from_json(json.dumps(bad))
+
+
 def test_params_on_large_forest():
     """The timed-FVS search on a 5,000-edge forest is linear: no cycle scan per edge."""
     from chronopath.generate import width_bounded_chain

@@ -8,15 +8,17 @@ from chronopath.oracle import (
     count_optimal_bf,
     count_paths_bf,
     iter_paths,
+    optimal_paths,
+    sigma_accessor_bf,
 )
 from chronopath.reductions import (
-    _fastest_windows,
     betweenness_exact,
     count_fastest,
     count_foremost,
+    optimal_windows,
     sigma_through,
 )
-from chronopath.graph import fastest_duration
+from chronopath.graph import fastest_duration, restrict
 from chronopath.vimw import count_vimw
 
 from conftest import I1, I2, I4, I5, make_graph, random_instance
@@ -39,17 +41,17 @@ def test_fastest_examples(counter):
 
 
 def test_sigma_through_examples():
-    assert sigma_through(I1, 0, 2, 1, "foremost", count_fen) == (1, 1)
-    assert sigma_through(I5, 0, 2, 1, "fastest", count_fen) == (1, 0)
+    assert sigma_through(I1, 0, 2, [1], "foremost", count_fen) == (1, {1: 1})
+    assert sigma_through(I5, 0, 2, [1], "fastest", count_fen) == (1, {1: 0})
     lonely = make_graph(4, [(0, 1, 1), (1, 2, 2)])
-    assert sigma_through(lonely, 0, 2, 3, "foremost", count_fen) == (1, 0)
+    assert sigma_through(lonely, 0, 2, [3], "foremost", count_fen) == (1, {3: 0})
 
 
 def test_betweenness_examples():
-    assert betweenness_exact(I1, 1, "foremost", count_fen) == 1
-    assert betweenness_exact(I4, 0, "fastest", count_fen) == 0
+    assert betweenness_exact(I1, [1], "foremost", count_fen) == [1]
+    assert betweenness_exact(I4, [0], "fastest", count_fen) == [0]
     empty = make_graph(3, [])
-    assert betweenness_exact(empty, 1, "foremost", count_fen) == 0
+    assert betweenness_exact(empty, [1], "foremost", count_fen) == [0]
 
 
 @pytest.mark.parametrize("counter", [count_fen, count_vimw], ids=["fen", "vimw"])
@@ -70,8 +72,61 @@ def test_betweenness_matches_oracle(rng):
         for star in ("foremost", "fastest"):
             for v in range(g.n):
                 want = betweenness_bf(g, v, star)
-                got = betweenness_exact(g, v, star, count_fen)
+                (got,) = betweenness_exact(g, [v], star, count_fen)
                 assert got == want and isinstance(got, Fraction)
+
+
+def test_betweenness_sweep_counts_each_window_once(rng):
+    # The counter sees each window of each connected pair once, and one
+    # deletion per requested vertex only in windows that hold a path.
+    for _ in range(20):
+        g = random_instance(rng, n_lo=3, n_hi=6, m_hi=10)
+        vertices = range(g.n)
+        for star in ("foremost", "fastest"):
+            calls = []
+
+            def recording(h, s, z):
+                calls.append((s, z, h.time_edges))
+                return count_fen(h, s, z)
+
+            got = betweenness_exact(g, vertices, star, recording)
+            expected = []
+            for s in vertices:
+                for z in vertices:
+                    if s == z:
+                        continue
+                    inner = [v for v in vertices if v not in (s, z)]
+                    for lo, hi in optimal_windows(g, s, z, star):
+                        window = restrict(g, lo, hi)
+                        expected.append((s, z, window.time_edges))
+                        if count_fen(window, s, z):
+                            expected += [
+                                (s, z, restrict(g, lo, hi, {v}).time_edges) for v in inner
+                            ]
+                    sigma, through = sigma_through(g, s, z, inner, star, count_fen)
+                    assert sigma == count_optimal_bf(g, s, z, star)
+                    assert through == {v: sigma_accessor_bf(g, s, z, v, star) for v in inner}
+            assert sorted(calls) == sorted(expected)
+            singles = [betweenness_exact(g, [v], star, count_fen)[0] for v in vertices]
+            assert got == singles == [betweenness_bf(g, v, star) for v in vertices]
+
+
+def test_foremost_window(rng):
+    assert optimal_windows(I1, 0, 2, "foremost") == [(1, 2)]
+    assert optimal_windows(I2, 0, 2, "foremost") == []  # z is unreachable
+    for _ in range(60):
+        g = random_instance(rng, n_hi=7, m_hi=12)
+        for s in range(g.n):
+            for z in range(g.n):
+                if s == z:
+                    continue
+                paths = optimal_paths(g, s, z, "foremost")
+                want = [(1, paths[0].arrival_time)] if paths else []
+                assert optimal_windows(g, s, z, "foremost") == want
+    with pytest.raises(ValueError):
+        optimal_windows(I1, 0, 2, "shortest")
+    with pytest.raises(ValueError):
+        optimal_windows(I1, 0, 0, "foremost")
 
 
 def test_fastest_windows_start_at_labels_of_s(rng):
@@ -83,7 +138,7 @@ def test_fastest_windows_start_at_labels_of_s(rng):
             for z in range(g.n):
                 if s == z:
                     continue
-                for t0, t1 in _fastest_windows(g, s, z):
+                for t0, t1 in optimal_windows(g, s, z, "fastest"):
                     assert t0 in s_labels and t1 <= g.lifetime
 
 
