@@ -274,6 +274,8 @@ def _cmd_betweenness_approx(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise InvalidParameterError(f"--count must be >= 0, got {args.count}")
     g = _read_graph(args.input)
     s, z = _vertex(g, args.s), _vertex(g, args.z)
     counter = _counter_for(args.algo, DispatchCaps())
@@ -295,6 +297,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    if args.tfvs_budget < 0:
+        raise InvalidParameterError(f"--tfvs-budget must be >= 0, got {args.tfvs_budget}")
     g = _read_graph(args.input)
     static = underlying_graph(g)
     seq = vimw.vim_sequence(g)

@@ -38,7 +38,7 @@ class NoFeasibleAlgorithmError(ChronopathError):
 
 
 class InvalidParameterError(ChronopathError, ValueError):
-    """A statistical guarantee parameter (epsilon/delta) is out of range."""
+    """A numeric parameter (epsilon, delta, a sample count, a budget) is out of range."""
 
 
 class InvariantError(ChronopathError):

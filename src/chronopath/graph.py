@@ -68,6 +68,11 @@ class TemporalGraph:
             lab[(u, v)].append(t)
         return {e: tuple(sorted(ts)) for e, ts in lab.items()}
 
+    @cached_property
+    def _sweeps(self) -> dict[tuple[int, int], list[int | None]]:
+        """(s, min_label) -> earliest_reach(self, s, min_label), filled by _reach_from."""
+        return {}
+
     def edge_labels(self, u: int, v: int) -> tuple[int, ...]:
         if u > v:
             u, v = v, u
@@ -348,6 +353,15 @@ def earliest_reach(g: TemporalGraph, s: int, min_label: int = 1) -> list[int | N
     return reach
 
 
+def _reach_from(g: TemporalGraph, s: int, min_label: int = 1) -> list[int | None]:
+    """earliest_reach(g, s, min_label), swept once per graph; callers only read it."""
+    key = (s, min_label)
+    reach = g._sweeps.get(key)
+    if reach is None:
+        reach = g._sweeps[key] = earliest_reach(g, s, min_label)
+    return reach
+
+
 def earliest_arrival(g: TemporalGraph, s: int, z: int) -> int | None:
     """Minimum arrival time of a temporal (s,z)-path, or None.
 
@@ -355,8 +369,7 @@ def earliest_arrival(g: TemporalGraph, s: int, z: int) -> int | None:
     """
     if s == z:
         return 1
-    r = earliest_reach(g, s)[z]
-    return r
+    return _reach_from(g, s)[z]
 
 
 def fastest_duration(g: TemporalGraph, s: int, z: int) -> int | None:
@@ -366,7 +379,7 @@ def fastest_duration(g: TemporalGraph, s: int, z: int) -> int | None:
     best: int | None = None
     start_labels = sorted({t for _, t in g.incident[s]})
     for t0 in start_labels:
-        arrival = earliest_reach(g, s, min_label=t0)[z]
+        arrival = _reach_from(g, s, t0)[z]
         if arrival is None:
             continue
         d = arrival - t0
@@ -381,6 +394,6 @@ def connectivity_matrix(g: TemporalGraph) -> list[list[bool]]:
     """a[v][w] true iff a temporal (v,w)-path exists; diagonal true."""
     matrix: list[list[bool]] = []
     for s in range(g.n):
-        reach = earliest_reach(g, s)
+        reach = _reach_from(g, s)
         matrix.append([reach[w] is not None for w in range(g.n)])
     return matrix

@@ -97,6 +97,8 @@ def estimate_max_betweenness(
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
+    if ell_cap is not None and ell_cap < 1:
+        raise InvalidParameterError(f"ell_cap must be at least 1, got {ell_cap}")
 
     ell = formula_ell(g, epsilon)
     if ell_cap is not None:
@@ -108,25 +110,23 @@ def estimate_max_betweenness(
         )
 
     matrix = connectivity_matrix(g)
-    pairs = [
-        (s, z) for s in range(g.n) for z in range(g.n) if s != z and matrix[s][z]
+    samplers = [
+        OptimalPathSampler(g, s, z, star, counter)
+        for s in range(g.n)
+        for z in range(g.n)
+        if s != z and matrix[s][z]
     ]
-    samplers = {
-        pair: OptimalPathSampler(g, pair[0], pair[1], star, counter) for pair in pairs
-    }
     runs = amplification_runs(delta) if amplify else 1
 
     outcomes: list[tuple[Fraction, int]] = []
     for run in range(runs):
         rng = child_rng(seed, "betweenness", star, run)
         tally = [0] * g.n
-        for s, z in pairs:
-            sampler = samplers[(s, z)]
+        for sampler in samplers:
             for _ in range(ell):
-                path = sampler.sample(rng)
-                for v in path.vertices():
-                    if v not in (s, z):
-                        tally[v] += 1
+                # The targets of all but the last step are the internal vertices.
+                for _, v, _ in sampler.sample(rng).steps[:-1]:
+                    tally[v] += 1
         best_vertex = max(range(g.n), key=lambda v: (tally[v], -v))
         outcomes.append((Fraction(tally[best_vertex], ell), best_vertex))
 

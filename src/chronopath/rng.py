@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .errors import InvariantError
-
 
 def derive_seed(seed: int, *path: object) -> int:
     material = ":".join([str(seed)] + [str(p) for p in path]).encode()
@@ -22,20 +20,3 @@ def derive_seed(seed: int, *path: object) -> int:
 def child_rng(seed: int, *path: object) -> random.Random:
     return random.Random(derive_seed(seed, *path))
 
-
-def weighted_index(rng: random.Random, weights: list[int]) -> int:
-    """Pick an index proportionally to non-negative integer weights, exactly.
-
-    Integer arithmetic throughout: no floating-point bias is introduced, so
-    an exact counter yields exactly proportional choices.
-    """
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("no positive weight to choose from")
-    r = rng.randrange(total)
-    acc = 0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    raise InvariantError("weighted choice ran past the total weight")

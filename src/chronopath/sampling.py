@@ -18,15 +18,18 @@ path count and sample inside it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 from .errors import CounterFailureError, NoPathError
 # earliest_arrival is unused, but perfbench/tracing.py patches it here.
 from .graph import TemporalGraph, TemporalPath, earliest_arrival, restrict  # noqa: F401
 from .reductions import Counter, optimal_windows
-from .rng import child_rng, weighted_index
+from .rng import child_rng
 
 
 @dataclass
@@ -37,12 +40,22 @@ class SamplerConfig:
     seed: int = 0
 
 
-def _as_integer_weights(weights: list) -> list[int]:
-    if all(isinstance(w, int) for w in weights):
-        return weights
-    fracs = [Fraction(w) for w in weights]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * scale) for f in fracs]
+def _cumulative_weights(weights: list) -> list[int]:
+    """Running totals of the weights, scaled to integers if any is a Fraction."""
+    if not all(isinstance(w, int) for w in weights):
+        fracs = [Fraction(w) for w in weights]
+        scale = lcm(*(f.denominator for f in fracs))
+        weights = [int(f * scale) for f in fracs]
+    return list(accumulate(weights))
+
+
+class _WalkState(NamedTuple):
+    """A walk state's visited set, next time-edges, their running weights and next states."""
+
+    visited: frozenset[int]
+    options: list[tuple[int, int]]
+    cum: list[int]
+    children: list[_WalkState | None]
 
 
 class PathSampler:
@@ -51,8 +64,8 @@ class PathSampler:
     Residual counter values are cached across samples: the residual
     instance is determined by (next vertex, label cutoff, visited set), and
     repeated draws hit the same residuals constantly.  Each walk state
-    (current vertex, label cutoff, visited set) likewise keeps its options
-    and their integer weights, so a repeated step costs one draw.
+    (current vertex, label cutoff, visited set) is one node, built when the
+    walk first reaches it, so a repeated state costs one draw and one bisect.
     """
 
     def __init__(self, g: TemporalGraph, s: int, z: int, counter: Counter):
@@ -61,7 +74,7 @@ class PathSampler:
         self.z = z
         self.counter = counter
         self._cache: dict[tuple[int, int, frozenset[int]], int | Fraction] = {}
-        self._steps: dict[tuple[int, int, frozenset[int]], tuple[list, list[int]]] = {}
+        self._states: dict[tuple[int, int, frozenset[int]], _WalkState] = {}
 
     def _completions(self, v: int, min_label: int, visited: frozenset[int]):
         key = (v, min_label, visited)
@@ -75,11 +88,11 @@ class PathSampler:
             self._cache[key] = value
         return value
 
-    def _options(self, cur: int, min_label: int, visited: frozenset[int]):
-        """The next time-edges (w, t) out of a walk state, and their integer weights."""
+    def _state(self, cur: int, min_label: int, visited: frozenset[int]) -> _WalkState:
+        """The node of a walk state, built on first use; ``visited`` includes ``cur``."""
         key = (cur, min_label, visited)
-        step = self._steps.get(key)
-        if step is None:
+        state = self._states.get(key)
+        if state is None:
             options: list[tuple[int, int]] = []
             weights: list = []
             for w, t in self.g.incident[cur]:
@@ -89,8 +102,10 @@ class PathSampler:
                 if weight > 0:
                     options.append((w, t))
                     weights.append(weight)
-            step = self._steps[key] = (options, _as_integer_weights(weights))
-        return step
+            state = self._states[key] = _WalkState(
+                visited, options, _cumulative_weights(weights), [None] * len(options)
+            )
+        return state
 
     def total_count(self):
         return self._completions(self.s, 1, frozenset())
@@ -98,19 +113,24 @@ class PathSampler:
     def sample(self, rng: random.Random) -> TemporalPath:
         if self.s == self.z:
             return TemporalPath(source=self.s)
-        cur, min_label, visited = self.s, 1, frozenset((self.s,))
+        cur, state = self.s, self._state(self.s, 1, frozenset((self.s,)))
         steps: list[tuple[int, int, int]] = []
         while cur != self.z:
-            options, weights = self._options(cur, min_label, visited)
-            if not options:
+            cum = state.cum
+            if not cum:
                 if not steps:
                     raise NoPathError(f"no temporal ({self.s},{self.z})-path")
                 raise CounterFailureError(
                     "counter reported completions where none exist"
                 )
-            w, t = options[weighted_index(rng, weights)]
+            # The first option whose running total exceeds r: exactly proportional.
+            i = bisect_right(cum, rng.randrange(cum[-1]))
+            w, t = state.options[i]
             steps.append((cur, w, t))
-            cur, min_label, visited = w, t, visited | {w}
+            child = state.children[i]
+            if child is None and w != self.z:
+                child = state.children[i] = self._state(w, t, state.visited | {w})
+            cur, state = w, child
         return TemporalPath(source=self.s, steps=tuple(steps))
 
 
@@ -129,21 +149,22 @@ class OptimalPathSampler:
         self.s = s
         self.trivial = s == z
         self.window_samplers: list[PathSampler] = []
-        self.window_weights: list[int] = []
+        counts = []
         for lo, hi in [] if self.trivial else optimal_windows(g, s, z, star):
             sampler = PathSampler(restrict(g, lo, hi), s, z, counter)
             count = sampler.total_count()
             if count > 0:
                 self.window_samplers.append(sampler)
-                self.window_weights.append(count)
+                counts.append(count)
+        self.window_cum = _cumulative_weights(counts)
 
     def sample(self, rng: random.Random) -> TemporalPath:
         if self.trivial:
             return TemporalPath(source=self.s)
         if not self.window_samplers:
             raise NoPathError("no optimal path to sample")
-        weights = _as_integer_weights(self.window_weights)
-        index = weighted_index(rng, weights) if len(weights) > 1 else 0
+        cum = self.window_cum
+        index = bisect_right(cum, rng.randrange(cum[-1])) if len(cum) > 1 else 0
         return self.window_samplers[index].sample(rng)
 
 

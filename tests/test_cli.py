@@ -56,6 +56,15 @@ def test_input_errors_exit_2():
     assert code == 2
 
 
+def test_negative_sample_count_and_tfvs_budget_exit_2():
+    code, out, err = run_cli(["sample", "-s", "0", "-z", "2", "--count", "-2"], I5_TEXT)
+    assert (code, out) == (2, "") and "--count" in err
+    assert run_cli(["sample", "-s", "0", "-z", "2", "--count", "0"], I5_TEXT) == (0, "", "")
+    # A forest: its timed FVS is empty, but a negative budget is still refused.
+    code, out, err = run_cli(["params", "--tfvs-budget", "-1"], "0 1 1\n1 2 2\n")
+    assert (code, out) == (2, "") and "--tfvs-budget" in err
+
+
 def test_bad_stats_flags_exit_4():
     code, _, _ = run_cli(
         ["betweenness-approx", "--star", "foremost", "--epsilon", "2.0", "--delta", "0.1"],
@@ -66,6 +75,13 @@ def test_bad_stats_flags_exit_4():
         ["count", "-s", "0", "-z", "2", "--algo", "estimate", "--delta", "7"], I5_TEXT
     )
     assert code == 4
+    for cap in ("0", "-3"):
+        code, out, err = run_cli(
+            ["betweenness-approx", "--star", "foremost", "--epsilon", "0.5", "--delta", "0.1",
+             "--ell-cap", cap],
+            I5_TEXT,
+        )
+        assert (code, out) == (4, "") and "ell_cap" in err
 
 
 def dense_clique_text():

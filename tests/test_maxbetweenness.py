@@ -44,6 +44,9 @@ def test_param_validation():
         estimate_max_betweenness(I1, "foremost", 1.5, 0.1, count_paths_bf)
     with pytest.raises(InvalidParameterError):
         estimate_max_betweenness(I1, "foremost", 0.5, 0.0, count_paths_bf)
+    for cap in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            estimate_max_betweenness(I1, "foremost", 0.5, 0.1, count_paths_bf, ell_cap=cap)
 
 
 def test_zero_instance_returns_exact_zero():

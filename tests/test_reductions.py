@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from chronopath import graph
 from chronopath.fen import count_fen
+from chronopath.generate import random_temporal_graph
 from chronopath.oracle import (
     betweenness_bf,
     count_optimal_bf,
@@ -109,6 +111,24 @@ def test_betweenness_sweep_counts_each_window_once(rng):
             assert sorted(calls) == sorted(expected)
             singles = [betweenness_exact(g, [v], star, count_fen)[0] for v in vertices]
             assert got == singles == [betweenness_bf(g, v, star) for v in vertices]
+
+
+def test_betweenness_sweeps_each_reach_once(monkeypatch):
+    # Every (source, min_label) reach sweep is made once per graph, not once
+    # per target.
+    for star, want in (("foremost", 9), ("fastest", 42)):
+        g = random_temporal_graph(9, 20, 20, 1)
+        sweeps = []
+        sweep = graph.earliest_reach
+
+        def recording(h, s, min_label=1):
+            sweeps.append((id(h), s, min_label))
+            return sweep(h, s, min_label)
+
+        monkeypatch.setattr(graph, "earliest_reach", recording)
+        betweenness_exact(g, range(g.n), star, count_fen)
+        monkeypatch.undo()
+        assert len(sweeps) == len(set(sweeps)) == want
 
 
 def test_foremost_window(rng):

@@ -1,11 +1,20 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from chronopath.errors import NoPathError
 from chronopath.fen import count_fen
-from chronopath.graph import earliest_arrival, fastest_duration, validate_path
+from chronopath.graph import (
+    connectivity_matrix,
+    earliest_arrival,
+    fastest_duration,
+    restrict,
+    validate_path,
+)
+from chronopath.maxbetweenness import estimate_max_betweenness, zero_check
 from chronopath.oracle import count_paths_bf, enumerate_paths, optimal_paths
+from chronopath.reductions import optimal_windows
 from chronopath.rng import child_rng
 from chronopath.sampling import (
     OptimalPathSampler,
@@ -127,3 +136,121 @@ def test_determinism_same_seed():
     a = [sample_path(I5, 0, 2, cfg).steps for _ in range(3)]
     b = [sample_path(I5, 0, 2, cfg).steps for _ in range(3)]
     assert a == b
+
+
+def _reference_weighted_index(rng, weights):
+    """The linear scan the walk used before the walk-state graph."""
+    r = rng.randrange(sum(weights))
+    acc = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+
+
+class _ReferenceSampler(PathSampler):
+    """The walk before the walk-state graph: a cache of each state's options
+    and weights, a new visited set per step and a linear scan.  The counters
+    used here return ints, so no weights need scaling."""
+
+    def __init__(self, g, s, z, counter):
+        super().__init__(g, s, z, counter)
+        self._steps = {}
+
+    def _options(self, cur, min_label, visited):
+        key = (cur, min_label, visited)
+        if key not in self._steps:
+            options, weights = [], []
+            for w, t in self.g.incident[cur]:
+                if t < min_label or w in visited:
+                    continue
+                weight = self._completions(w, t, visited)
+                if weight > 0:
+                    options.append((w, t))
+                    weights.append(weight)
+            self._steps[key] = (options, weights)
+        return self._steps[key]
+
+    def sample(self, rng):
+        cur, min_label, visited = self.s, 1, frozenset((self.s,))
+        steps = []
+        while cur != self.z:
+            options, weights = self._options(cur, min_label, visited)
+            w, t = options[_reference_weighted_index(rng, weights)]
+            steps.append((cur, w, t))
+            cur, min_label, visited = w, t, visited | {w}
+        return tuple(steps)
+
+
+class _ReferenceOptimalSampler:
+    def __init__(self, g, s, z, star, counter):
+        self.samplers, self.weights = [], []
+        for lo, hi in optimal_windows(g, s, z, star):
+            sampler = _ReferenceSampler(restrict(g, lo, hi), s, z, counter)
+            if sampler.total_count() > 0:
+                self.samplers.append(sampler)
+                self.weights.append(sampler.total_count())
+
+    def sample(self, rng):
+        weights = self.weights
+        index = _reference_weighted_index(rng, weights) if len(weights) > 1 else 0
+        return self.samplers[index].sample(rng)
+
+
+def _reference_estimate(g, star, ell, seed, runs, counter):
+    """(value, argmax) of estimate_max_betweenness on a non-zero instance,
+    with reference walks and a tally over ``vertices()``."""
+    matrix = connectivity_matrix(g)
+    pairs = [(s, z) for s in range(g.n) for z in range(g.n) if s != z and matrix[s][z]]
+    samplers = {(s, z): _ReferenceOptimalSampler(g, s, z, star, counter) for s, z in pairs}
+    outcomes = []
+    for run in range(runs):
+        rng = child_rng(seed, "betweenness", star, run)
+        tally = [0] * g.n
+        for s, z in pairs:
+            for _ in range(ell):
+                steps = samplers[(s, z)].sample(rng)
+                for v in (s,) + tuple(step[1] for step in steps):
+                    if v not in (s, z):
+                        tally[v] += 1
+        best = max(range(g.n), key=lambda v: (tally[v], -v))
+        outcomes.append((Fraction(tally[best], ell), best))
+    outcomes.sort(key=lambda pair: pair[0])
+    return outcomes[(len(outcomes) - 1) // 2]
+
+
+def _same_stream(new, reference, seed, draws):
+    r_new, r_ref = child_rng(seed, "stream"), child_rng(seed, "stream")
+    got = [new.sample(r_new).steps for _ in range(draws)]
+    want = [reference.sample(r_ref) for _ in range(draws)]
+    assert got == want
+    assert r_new.getstate() == r_ref.getstate()
+
+
+def test_seeded_stream_matches_reference(rng):
+    instances = [(diamond_chain(6), 0, 18)]
+    while len(instances) < 41:
+        g = random_instance(rng, n_hi=7, m_hi=12)
+        s, z = rng.sample(range(g.n), 2)
+        if earliest_arrival(g, s, z) is not None:
+            instances.append((g, s, z))
+    for seed, (g, s, z) in enumerate(instances):
+        _same_stream(PathSampler(g, s, z, count_fen), _ReferenceSampler(g, s, z, count_fen), seed, 40)
+        for star in ("foremost", "fastest"):
+            _same_stream(
+                OptimalPathSampler(g, s, z, star, count_fen),
+                _ReferenceOptimalSampler(g, s, z, star, count_fen),
+                seed,
+                40,
+            )
+
+    estimated = 0
+    for seed, (g, _, _) in enumerate([(diamond_chain(3), 0, 9)] + instances[1:]):
+        for star in ("foremost", "fastest"):
+            if zero_check(g, star):
+                continue
+            got = estimate_max_betweenness(g, star, 0.5, 0.1, count_fen, seed=seed, ell_cap=4)
+            want = _reference_estimate(g, star, 4, seed, got.trials, count_fen)
+            assert (got.value, got.argmax_vertex) == want
+            estimated += 1
+    assert estimated >= 30
