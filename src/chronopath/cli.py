@@ -286,13 +286,18 @@ def _cmd_sample(args) -> int:
     else:
         sampler = sampling.OptimalPathSampler(g, s, z, args.optimal, counter)
     rng = child_rng(args.seed, "cli-sample", args.optimal, s, z)
-    paths = [sampler.sample(rng) for _ in range(args.count)]
-    if args.format == "json":
-        payload = {"paths": [[list(step) for step in p.steps] for p in paths]}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for p in paths:
+    # Each path is written as it is drawn; the JSON form spells out, piece by
+    # piece, the bytes of json.dumps({"paths": [...]}, sort_keys=True).
+    opening = '{"paths": ['
+    for _ in range(args.count):
+        p = sampler.sample(rng)
+        if args.format == "json":
+            sys.stdout.write(opening + json.dumps([list(step) for step in p.steps]))
+            opening = ", "
+        else:
             print(_format_path(g, p))
+    if args.format == "json":
+        print('{"paths": []}' if args.count == 0 else "]}")
     return EXIT_OK
 
 

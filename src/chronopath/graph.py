@@ -69,6 +69,11 @@ class TemporalGraph:
         return {e: tuple(sorted(ts)) for e, ts in lab.items()}
 
     @cached_property
+    def _underlying(self) -> StaticGraph:
+        """The label-forgetting projection, built once; callers must not mutate it."""
+        return StaticGraph(n=self.n, edges=frozenset((u, v) for u, v, _ in self.time_edges))
+
+    @cached_property
     def _sweeps(self) -> dict[tuple[int, int], list[int | None]]:
         """(s, min_label) -> earliest_reach(self, s, min_label), filled by _reach_from."""
         return {}
@@ -279,8 +284,11 @@ def from_json(text: str) -> TemporalGraph:
 
 
 def underlying_graph(g: TemporalGraph) -> StaticGraph:
-    """Forget labels: edge {u,v} exists iff some time-edge carries it."""
-    return StaticGraph(n=g.n, edges=frozenset((u, v) for u, v, _ in g.time_edges))
+    """Forget labels: edge {u,v} exists iff some time-edge carries it.
+
+    The result is cached on ``g`` and shared by every caller.
+    """
+    return g._underlying
 
 
 def _keep_edges(g: TemporalGraph, edges: list[TimeEdge]) -> TemporalGraph:

@@ -9,12 +9,23 @@ graph is a forest.  Every temporal (s,z)-path is then determined by
   * one residual-forest path segment per consecutive pair of used
     appearances, together with a choice of time labels on that segment.
 
+One rule gives the segment options between consecutive used appearances
+(a, ta) and (b, tb).  The heads are the neighbours w of (a, ta) with (w, ta)
+not in X if the path leaves a over an edge at ta (class O or B), else a
+itself; the tails are the neighbours w of (b, tb) with (w, tb) not in X if
+it enters b over an edge at tb (class I or B), else b itself.  Each head p
+and tail q whose residual-forest path avoids every used vertex, except an a
+or b that is itself the head or tail, gives one option: the temporal
+(p,q)-paths of the residual within [ta, tb], on the forest path less the
+used vertices.  When the path both leaves a and enters b over edges, ta ==
+tb and the edge {a, b} is active at ta, that edge is one more option of
+weight 1 and no vertices.
+
 For a fixed classification and order, segments for different consecutive
 pairs must be vertex-disjoint; since segments are paths in a forest, their
 intersection graph is chordal, and counting the valid combinations is a
 weighted multicoloured independent set count with one colour per
-consecutive pair.  Segment weights are window-restricted forest-path
-counts in the residual graph.
+consecutive pair.
 
 The terminal preprocessing guarantees s has a unique incident time-edge at
 label 1 and z a unique one at label T, so the artificial bracket
@@ -23,13 +34,14 @@ appearances (s,1) and (z,T) can head and tail every ordering.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 from typing import Iterable
 
 from .chordal import ChordalInstance, count_weighted_mc_is
 from .errors import BudgetExceededError, EnumerationLimitError, NotAForestError
-from .forest import count_path_labels
+from .forest import count_path_labels, static_tree_path
 from .graph import TemporalGraph, TimeEdge, _keep_edges, underlying_graph
 
 Appearance = tuple[int, int]  # (vertex, time)
@@ -262,100 +274,81 @@ def count_tfvs(
     lifetime = g2.lifetime
     brackets = ((s2, 1), (z2, lifetime))
 
-    if tfvs is None:
-        x = compute_timed_fvs(g2, budget=budget)
-    else:
-        x = frozenset(tfvs)
-        if not is_timed_fvs(g2, x):
-            raise ValueError("supplied set is not a timed feedback vertex set")
+    # Dropping no-op and bracket appearances keeps a set valid or invalid,
+    # so one residual both checks a supplied set and is counted on.
+    x = compute_timed_fvs(g2, budget=budget) if tfvs is None else frozenset(tfvs)
     x = _sanitize_tfvs(g2, x, brackets)
-
     residual = delete_appearances(g2, x)
     forest = underlying_graph(residual)
     if not forest.is_forest:
+        if tfvs is not None:
+            raise ValueError("supplied set is not a timed feedback vertex set")
         raise NotAForestError("residual graph of the timed feedback vertex set has a cycle")
 
-    # Forest structure for unique-path queries.
-    parent = list(range(g2.n))
-    depth = [0] * g2.n
-    comp = [-1] * g2.n
-    for root in range(g2.n):
-        if comp[root] != -1:
-            continue
-        comp[root] = root
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b in forest.adj[a]:
-                if comp[b] == -1:
-                    comp[b] = root
-                    parent[b] = a
-                    depth[b] = depth[a] + 1
-                    stack.append(b)
+    @cache
+    def tree_path(p: int, q: int) -> list[int] | None:
+        return static_tree_path(forest, p, q)
 
-    path_cache: dict[tuple[int, int], tuple[int, ...] | None] = {}
+    @cache
+    def window_count(p: int, q: int, t_lo: int, t_hi: int) -> int:
+        """Temporal (p,q)-paths along the residual forest path within [t_lo, t_hi]."""
+        path = tree_path(p, q)
+        labels = [residual.edge_labels(u, v) for u, v in zip(path, path[1:])]
+        return count_path_labels(labels, t_min=t_lo, t_max=t_hi)
 
-    def forest_path(u: int, v: int) -> tuple[int, ...] | None:
-        key = (u, v) if u <= v else (v, u)
-        if key in path_cache:
-            cached = path_cache[key]
-        else:
-            if comp[u] != comp[v]:
-                cached = None
-            else:
-                left, right = [u], [v]
-                a, b = u, v
-                while a != b:
-                    if depth[a] >= depth[b]:
-                        a = parent[a]
-                        left.append(a)
-                    else:
-                        b = parent[b]
-                        right.append(b)
-                cached = tuple(left[:-1] + right[::-1])
-            path_cache[key] = cached
-        if cached is None or not cached:
-            return cached
-        return cached if cached[0] == u else tuple(reversed(cached))
-
-    residual_labels = residual.labels_by_edge
-    window_cache: dict[tuple[int, int, int, int], int] = {}
-
-    def window_count(u: int, v: int, t_lo: int, t_hi: int) -> int:
-        """Temporal (u,v)-paths in the residual graph within [t_lo, t_hi]."""
-        if t_lo > t_hi:
-            return 0
-        if u == v:
-            return 1
-        key = (u, v, t_lo, t_hi)
-        if key not in window_cache:
-            path = forest_path(u, v)
-            if path is None:
-                window_cache[key] = 0
-            else:
-                labels = []
-                for a, b in zip(path, path[1:]):
-                    labels.append(residual_labels.get((a, b) if a < b else (b, a), ()))
-                window_cache[key] = count_path_labels(labels, t_min=t_lo, t_max=t_hi)
-        return window_cache[key]
-
-    neighbours_at: dict[Appearance, list[int]] = {}
+    # Appearance (v, t) -> neighbours w over a time-edge at t with (w, t) not in x.
+    near: dict[Appearance, list[int]] = {}
     for u, v, t in g2.time_edges:
-        neighbours_at.setdefault((u, t), []).append(v)
-        neighbours_at.setdefault((v, t), []).append(u)
-    for key in neighbours_at:
-        neighbours_at[key].sort()
+        if (v, t) not in x:
+            near.setdefault((u, t), []).append(v)
+        if (u, t) not in x:
+            near.setdefault((v, t), []).append(u)
 
-    g2_labels = g2.labels_by_edge
+    def pattern_weight(order: list[tuple[int, int, str]]) -> int:
+        """Chordal multicoloured-IS count for one classification and order."""
+        in_order = {v for v, _, _ in order}
+        vertex_sets: list[frozenset[int]] = []
+        colours: list[int] = []
+        weights: list[int] = []
+        for colour, ((a, ta, ca), (b, tb, cb)) in enumerate(zip(order, order[1:]), 1):
+            uses_a, uses_b = ca in ("O", "B"), cb in ("I", "B")
+            heads = near.get((a, ta), ()) if uses_a else (a,)
+            tails = near.get((b, tb), ()) if uses_b else (b,)
+            blocked = in_order - {v for v, used in ((a, uses_a), (b, uses_b)) if not used}
+            before = len(weights)
+            for p in heads:
+                for q in tails:
+                    path = tree_path(p, q)
+                    if path is None or not blocked.isdisjoint(path):
+                        continue
+                    weight = window_count(p, q, ta, tb)
+                    if weight:
+                        vertex_sets.append(frozenset(path) - in_order)
+                        weights.append(weight)
+            if uses_a and uses_b and ta == tb and ta in g2.edge_labels(a, b):
+                vertex_sets.append(frozenset())
+                weights.append(1)
+            if len(weights) == before:
+                return 0
+            colours += [colour] * (len(weights) - before)
 
-    def original_labels(a: int, b: int) -> tuple[int, ...]:
-        return g2_labels.get((a, b) if a < b else (b, a), ())
+        m = len(vertex_sets)
+        edges = tuple(
+            (i, j)
+            for i in range(m)
+            if vertex_sets[i]
+            for j in range(i + 1, m)
+            if not vertex_sets[i].isdisjoint(vertex_sets[j])
+        )
+        instance = ChordalInstance(
+            n=m, edges=edges, colour=tuple(colours), weight=tuple(weights)
+        )
+        return count_weighted_mc_is(instance, len(order) - 1)
 
     x_elems = sorted(x)
     max_patterns = 4 ** (len(x_elems) + 2) * factorial(len(x_elems) + 2)
     patterns_seen = 0
     total = 0
-
     for assignment in product("IOBU", repeat=len(x_elems)):
         middle = [
             (v, t, cls)
@@ -367,16 +360,8 @@ def count_tfvs(
             patterns_seen += 1
             if patterns_seen > max_patterns:
                 raise EnumerationLimitError("pattern enumeration exceeded its proven bound")
-            if not _order_admissible(order, s2, z2):
-                continue
-            total += _pattern_weight(
-                order,
-                x,
-                neighbours_at,
-                forest_path,
-                window_count,
-                original_labels,
-            )
+            if _order_admissible(order, s2, z2):
+                total += pattern_weight(order)
     return total
 
 
@@ -398,109 +383,3 @@ def _order_admissible(order: list[tuple[int, int, str]], s2: int, z2: int) -> bo
         if order[i][2] != "I" or order[j][2] != "O":
             return False
     return True
-
-
-def _pattern_weight(
-    order,
-    x: frozenset[Appearance],
-    neighbours_at,
-    forest_path,
-    window_count,
-    original_labels,
-) -> int:
-    """Chordal multicoloured-IS count for one classification and order."""
-    in_order = {v for v, _, _ in order}
-    k = len(order) - 1
-    vertex_sets: list[frozenset[int]] = []
-    colours: list[int] = []
-    weights: list[int] = []
-
-    for i in range(k):
-        a, ta, ca = order[i]
-        b, tb, cb = order[i + 1]
-        left_out = ca in ("O", "B")
-        right_in = cb in ("I", "B")
-        found_any = False
-
-        def add(vset: frozenset[int], weight: int) -> None:
-            nonlocal found_any
-            vertex_sets.append(vset)
-            colours.append(i + 1)
-            weights.append(weight)
-            found_any = True
-
-        if left_out and right_in:
-            for w1 in neighbours_at.get((a, ta), ()):
-                if (w1, ta) in x:
-                    continue
-                for w2 in neighbours_at.get((b, tb), ()):
-                    if (w2, tb) in x:
-                        continue
-                    path = forest_path(w1, w2)
-                    if path is None or in_order.intersection(path):
-                        continue
-                    wt = window_count(w1, w2, ta, tb)
-                    if wt:
-                        add(frozenset(path), wt)
-            if ta == tb and ta in original_labels(a, b):
-                add(frozenset(), 1)
-        elif left_out:
-            for w1 in neighbours_at.get((a, ta), ()):
-                if (w1, ta) in x or w1 == b:
-                    continue
-                path = forest_path(w1, b)
-                if path is None or (in_order - {b}).intersection(path):
-                    continue
-                wt = window_count(w1, b, ta, tb)
-                if wt:
-                    add(frozenset(path), wt)
-            if ta in original_labels(a, b) and (b, ta) not in x:
-                add(frozenset(), 1)
-        elif right_in:
-            for w2 in neighbours_at.get((b, tb), ()):
-                if (w2, tb) in x or w2 == a:
-                    continue
-                path = forest_path(a, w2)
-                if path is None or (in_order - {a}).intersection(path):
-                    continue
-                wt = window_count(a, w2, ta, tb)
-                if wt:
-                    add(frozenset(path), wt)
-            if tb in original_labels(a, b) and (a, tb) not in x:
-                add(frozenset(), 1)
-        else:
-            if a == b:
-                add(frozenset(), 1)
-            else:
-                path = forest_path(a, b)
-                if (
-                    path is not None
-                    and len(path) >= 3
-                    and not (in_order - {a, b}).intersection(path)
-                ):
-                    wt = window_count(a, b, ta, tb)
-                    if wt:
-                        add(frozenset(path), wt)
-                direct = sum(
-                    1
-                    for t in original_labels(a, b)
-                    if ta <= t <= tb and (a, t) not in x and (b, t) not in x
-                )
-                if direct:
-                    add(frozenset(), direct)
-
-        if not found_any:
-            return 0
-
-    m = len(vertex_sets)
-    edges = []
-    for p in range(m):
-        if not vertex_sets[p]:
-            continue
-        for q in range(p + 1, m):
-            if vertex_sets[p].intersection(vertex_sets[q]):
-                edges.append((p, q))
-    instance = ChordalInstance(
-        n=m, edges=tuple(edges), colour=tuple(colours), weight=tuple(weights)
-    )
-    return count_weighted_mc_is(instance, k)

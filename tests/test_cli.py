@@ -7,8 +7,10 @@ import pytest
 
 from chronopath.dispatch import DispatchCaps, dispatch_count
 from chronopath.errors import EdgeListParseError, NoFeasibleAlgorithmError
-from chronopath.graph import from_json, to_json
+from chronopath.graph import from_json, parse, to_json
 from chronopath.oracle import count_paths_bf
+from chronopath.rng import child_rng
+from chronopath.sampling import PathSampler
 
 from conftest import make_graph, random_instance
 
@@ -200,6 +202,21 @@ def test_sample_optimal_subcommand():
     )
     assert code == 0
     assert out.splitlines() == ["0 2@3"] * 3
+
+
+def test_sample_json_streams_the_bytes_of_one_dump():
+    text = "0 1 1\n1 2 2\n0 2 3\n1 3 2\n3 2 3\n"
+    g = parse(text)
+    for count in (0, 3):
+        code, out, err = run_cli(
+            ["sample", "-s", "0", "-z", "2", "--count", str(count), "--seed", "4", "--format", "json"],
+            text,
+        )
+        sampler = PathSampler(g, 0, 2, lambda h, s, z: dispatch_count(h, s, z))
+        rng = child_rng(4, "cli-sample", "none", 0, 2)
+        paths = [sampler.sample(rng) for _ in range(count)]
+        want = json.dumps({"paths": [[list(step) for step in p.steps] for p in paths]}, sort_keys=True)
+        assert (code, out, err) == (0, want + "\n", "")
 
 
 def test_betweenness_approx_subcommand():

@@ -205,17 +205,32 @@ def test_against_oracle(rng):
     assert {1, 2, 3} <= ran_sizes
 
 
-def test_user_supplied_set():
+def test_user_supplied_set(rng):
     tri = make_graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     valid = frozenset({(0, 3)})
     assert is_timed_fvs(tri, valid)
     assert count_tfvs(tri, 0, 2, tfvs=valid) == 2
-    # A non-minimum but valid set still counts correctly.
     bigger = frozenset({(0, 3), (1, 1)})
     assert is_timed_fvs(tri, bigger)
     assert count_tfvs(tri, 0, 2, tfvs=bigger) == 2
     with pytest.raises(ValueError):
         count_tfvs(tri, 0, 2, tfvs=frozenset())
+    # Any valid set counts correctly, also a non-minimum one: a minimum set
+    # plus one or two arbitrary appearances.  (Every instance has an edge,
+    # hence at least two appearances.)
+    checked = 0
+    while checked < 300:
+        g = random_instance(rng, n_hi=9, t_hi=8, m_hi=20)
+        try:
+            x = compute_timed_fvs(g, budget=3)
+        except BudgetExceededError:
+            continue
+        extra = frozenset(rng.sample(all_appearances(g), rng.randint(1, 2)))
+        s, z = rng.sample(range(g.n), 2)
+        want = count_paths_bf(g, s, z)
+        for supplied in (x, x | extra):
+            assert count_tfvs(g, s, z, tfvs=supplied) == want, (g.time_edges, s, z, supplied)
+        checked += 1
 
 
 def test_delete_appearances():
