@@ -15,20 +15,21 @@ the shared selected vertex; that division is always exact and checked so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvariantError, NotChordalError
 
 
-@dataclass(frozen=True)
-class ChordalInstance:
-    """Static graph with a colour in 1..k and a positive weight per vertex."""
-
+class _ChordalInstanceFields(NamedTuple):
     n: int
     edges: tuple[tuple[int, int], ...]
     colour: tuple[int, ...]
     weight: tuple[int, ...]
+
+
+class ChordalInstance(_ChordalInstanceFields):
+    """Static graph with a colour in 1..k and a positive weight per vertex."""
 
     @cached_property
     def adj(self) -> dict[int, set[int]]:
@@ -39,12 +40,14 @@ class ChordalInstance:
         return a
 
 
-@dataclass
 class CliqueTreeNode:
     """Bag of a normalized clique tree (leaf / chain / binary join)."""
 
-    bag: frozenset[int]
-    children: list["CliqueTreeNode"] = field(default_factory=list)
+    __slots__ = ("bag", "children")
+
+    def __init__(self, bag: frozenset[int], children: list[CliqueTreeNode] | None = None):
+        self.bag = bag
+        self.children = [] if children is None else children
 
 
 def maximum_cardinality_search(n: int, adj: dict[int, set[int]]) -> list[int]:

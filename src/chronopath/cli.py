@@ -6,8 +6,8 @@ tooling).  Input graphs are read from a file or stdin, either as an
 edge-list document ("u v t" lines, '#' comments) or as the JSON form
 {"n": .., "T": .., "edges": [[u, v, t], ..]}.
 
-Exit codes: 0 success, 2 input error, 3 no feasible algorithm,
-4 invalid statistical-guarantee flags.
+Exit codes: 0 success, 2 input error, 3 no feasible algorithm or a work
+budget exceeded, 4 invalid statistical-guarantee flags.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, colourcount, fen, maxbetweenness
-from . import reductions, sampling, tfvs, vimw
-from .chordal import ChordalInstance, count_weighted_mc_is
+from . import __version__, fen, tfvs, vimw
 from .dispatch import ALGORITHMS, DispatchCaps, dispatch_count, select_algorithm
 from .errors import (
     BudgetExceededError,
@@ -28,16 +26,10 @@ from .errors import (
     NoFeasibleAlgorithmError,
     NoPathError,
 )
-from .rng import child_rng
-from .generate import diamond_chain, random_forest_graph, random_temporal_graph
-from .graph import (
-    TemporalGraph,
-    from_json,
-    parse,
-    to_json,
-    to_text,
-    underlying_graph,
-)
+from .graph import TemporalGraph, from_json, parse, to_json, to_text, underlying_graph
+
+# Each subcommand imports the rest of the package it runs (colour coding,
+# sampling, generators, ...) when it starts, so a process loads only that.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -191,6 +183,8 @@ def _cmd_count(args) -> int:
     g = _read_graph(args.input)
     s, z = _vertex(g, args.s), _vertex(g, args.z)
     if args.algo == "estimate":
+        from . import colourcount
+
         if args.k is not None:
             value = colourcount.estimate_short(
                 g, s, z, args.k, args.epsilon, args.delta, args.seed
@@ -222,6 +216,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_count_optimal(args) -> int:
+    from . import reductions
+
     g = _read_graph(args.input)
     s, z = _vertex(g, args.s), _vertex(g, args.z)
     counter = _counter_for(args.algo, DispatchCaps())
@@ -231,6 +227,8 @@ def _cmd_count_optimal(args) -> int:
 
 
 def _cmd_betweenness(args) -> int:
+    from . import reductions
+
     g = _read_graph(args.input)
     counter = _counter_for(args.algo, DispatchCaps())
     vertices = [(_vertex(g, args.vertex))] if args.vertex is not None else list(range(g.n))
@@ -246,6 +244,8 @@ def _cmd_betweenness(args) -> int:
 
 
 def _cmd_betweenness_approx(args) -> int:
+    from . import maxbetweenness
+
     g = _read_graph(args.input)
     counter = _counter_for(args.algo, DispatchCaps())
     estimate = maxbetweenness.estimate_max_betweenness(
@@ -274,6 +274,9 @@ def _cmd_betweenness_approx(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import sampling
+    from .rng import child_rng
+
     if args.count < 0:
         raise InvalidParameterError(f"--count must be >= 0, got {args.count}")
     g = _read_graph(args.input)
@@ -334,6 +337,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import diamond_chain, random_forest_graph, random_temporal_graph
+
     if args.kind == "random":
         g = random_temporal_graph(args.n, args.m, args.t_max, args.seed)
     elif args.kind == "forest":
@@ -345,6 +350,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_chordal_mcis(args) -> int:
+    from .chordal import ChordalInstance, count_weighted_mc_is
+
     if args.input == "-":
         doc = json.load(sys.stdin)
     else:
@@ -386,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_BAD_STATS if stats else EXIT_INPUT
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except NoFeasibleAlgorithmError as exc:
+    except (NoFeasibleAlgorithmError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ALGORITHM
     except (EdgeListParseError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -11,15 +11,14 @@ deterministic rule beats no rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fen, forest, oracle, tfvs, vimw
 from .errors import BudgetExceededError, EnumerationLimitError, NoFeasibleAlgorithmError
 from .graph import TemporalGraph, underlying_graph
 
 
-@dataclass(frozen=True)
-class DispatchCaps:
+class DispatchCaps(NamedTuple):
     vimw_cap: int = 8
     tfvs_cap: int = 4
     fen_cap: int = 12

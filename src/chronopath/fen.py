@@ -12,7 +12,7 @@ which the corpus instances stay well under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EnumerationLimitError
 from .forest import advance
@@ -69,8 +69,7 @@ def feedback_edge_set(static: StaticGraph) -> frozenset[tuple[int, int]]:
     return frozenset(feedback)
 
 
-@dataclass(frozen=True)
-class CondensedGraph:
+class CondensedGraph(NamedTuple):
     """Terminals plus links; each link carries its static vertex sequence."""
 
     terminals: frozenset[int]

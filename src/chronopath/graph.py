@@ -13,17 +13,25 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EdgeListParseError
 
 TimeEdge = tuple[int, int, int]  # (u, v, t) with u < v
 
 
-@dataclass(frozen=True)
-class TemporalGraph:
+# A NamedTuple gives value equality and read-only fields; a subclass of it
+# also has an instance __dict__, which the cached properties need.
+class _TemporalGraphFields(NamedTuple):
+    n: int
+    time_edges: tuple[TimeEdge, ...]
+    lifetime: int
+    vertex_names: tuple[int, ...] | None = None
+    label_names: tuple[int, ...] | None = None
+
+
+class TemporalGraph(_TemporalGraphFields):
     """Undirected simple temporal graph on vertices 0..n-1.
 
     ``time_edges`` is a sorted tuple of (u, v, t) with u < v and no
@@ -34,12 +42,6 @@ class TemporalGraph:
     ``vertex_names`` / ``label_names`` map the dense internal ids back to
     the identifiers and labels that appeared in the input, for reporting.
     """
-
-    n: int
-    time_edges: tuple[TimeEdge, ...]
-    lifetime: int
-    vertex_names: tuple[int, ...] | None = None
-    label_names: tuple[int, ...] | None = None
 
     @cached_property
     def edges_at(self) -> dict[int, list[tuple[int, int]]]:
@@ -98,12 +100,13 @@ class TemporalGraph:
             raise KeyError(name) from None
 
 
-@dataclass(frozen=True)
-class StaticGraph:
-    """Simple undirected graph; the label-forgetting projection."""
-
+class _StaticGraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]  # (u, v) with u < v
+
+
+class StaticGraph(_StaticGraphFields):
+    """Simple undirected graph; the label-forgetting projection."""
 
     @cached_property
     def adj(self) -> dict[int, list[int]]:
@@ -136,8 +139,7 @@ class StaticGraph:
         return True
 
 
-@dataclass(frozen=True)
-class TemporalPath:
+class TemporalPath(NamedTuple):
     """A temporal (source, target)-path as a sequence of traversed steps.
 
     Each step is (from, to, label).  The empty step sequence represents the

@@ -10,16 +10,17 @@ least 1/(n(T+1)), which is what makes the sample size sufficient.
 The worst-case sample count from the analysis, 300000 * eps^-3 * (T+1) *
 n^3 * ln n, is far beyond desk scale; ``ell_cap`` bounds it for practical
 runs and the acceptance suite measures the empirical success rate instead
-of trusting the constant.
+of trusting the constant.  An estimate whose predicted draws exceed
+``DRAW_BUDGET`` raises ``BudgetExceededError`` before it samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log, log10
+from typing import NamedTuple
 
-from .errors import InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError
 from .graph import (
     TemporalGraph,
     connectivity_matrix,
@@ -34,9 +35,13 @@ from .sampling import OptimalPathSampler
 # Amplification runs: ceil(8 * log10(1/delta)), i.e. 8 runs at delta = 0.1.
 AMPLIFICATION_CONSTANT = 8.0
 
+# Most path draws one estimate may make (ell x pairs x runs); above it the
+# estimate is refused before sampling.  At a few microseconds a draw this is
+# about a minute of sampling.
+DRAW_BUDGET = 10**7
 
-@dataclass(frozen=True)
-class BetweennessEstimate:
+
+class BetweennessEstimate(NamedTuple):
     """Estimated max betweenness with the argmax vertex and effort spent."""
 
     value: Fraction
@@ -110,13 +115,15 @@ def estimate_max_betweenness(
         )
 
     matrix = connectivity_matrix(g)
-    samplers = [
-        OptimalPathSampler(g, s, z, star, counter)
-        for s in range(g.n)
-        for z in range(g.n)
-        if s != z and matrix[s][z]
-    ]
+    pairs = [(s, z) for s in range(g.n) for z in range(g.n) if s != z and matrix[s][z]]
     runs = amplification_runs(delta) if amplify else 1
+    draws = ell * len(pairs) * runs
+    if draws > DRAW_BUDGET:
+        raise BudgetExceededError(
+            f"the estimate needs {draws:,} path draws ({ell:,} per pair, {len(pairs)} pairs, "
+            f"{runs} runs), over the budget of {DRAW_BUDGET:,}; cap ell lower (--ell-cap)"
+        )
+    samplers = [OptimalPathSampler(g, s, z, star, counter) for s, z in pairs]
 
     outcomes: list[tuple[Fraction, int]] = []
     for run in range(runs):

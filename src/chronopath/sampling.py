@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -32,8 +31,7 @@ from .reductions import Counter, optimal_windows
 from .rng import child_rng
 
 
-@dataclass
-class SamplerConfig:
+class SamplerConfig(NamedTuple):
     """The counter that drives the self-reduction, and the master seed."""
 
     counter: Counter

@@ -35,7 +35,7 @@ appearances (s,1) and (z,T) can head and tail every ordering.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, groupby, permutations, product
 from math import factorial
 from typing import Iterable
 
@@ -345,7 +345,9 @@ def count_tfvs(
         )
         return count_weighted_mc_is(instance, len(order) - 1)
 
-    x_elems = sorted(x)
+    # In time order: an admissible order has non-decreasing times, so only
+    # appearances with equal times are permuted among themselves.
+    x_elems = sorted(x, key=lambda a: (a[1], a[0]))
     max_patterns = 4 ** (len(x_elems) + 2) * factorial(len(x_elems) + 2)
     patterns_seen = 0
     total = 0
@@ -355,8 +357,9 @@ def count_tfvs(
             for (v, t), cls in zip(x_elems, assignment)
             if cls != "U"
         ]
-        for perm in permutations(middle):
-            order = [(s2, 1, "I"), *perm, (z2, lifetime, "O")]
+        ties = [permutations(tie) for _, tie in groupby(middle, key=lambda a: a[1])]
+        for perms in product(*ties):
+            order = [(s2, 1, "I"), *chain.from_iterable(perms), (z2, lifetime, "O")]
             patterns_seen += 1
             if patterns_seen > max_patterns:
                 raise EnumerationLimitError("pattern enumeration exceeded its proven bound")
@@ -366,9 +369,7 @@ def count_tfvs(
 
 
 def _order_admissible(order: list[tuple[int, int, str]], s2: int, z2: int) -> bool:
-    for (v1, t1, _), (v2, t2, _) in zip(order, order[1:]):
-        if t1 > t2:
-            return False
+    """Whether a time-sorted order visits each vertex once, or enters and leaves it in turn."""
     by_vertex: dict[int, list[int]] = {}
     for i, (v, _, _) in enumerate(order):
         by_vertex.setdefault(v, []).append(i)

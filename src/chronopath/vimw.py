@@ -19,17 +19,18 @@ so it is never double counted.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .graph import TemporalGraph
 
 
-@dataclass(frozen=True)
-class VIMSequence:
-    """Bags F_1..F_T and their maximum size."""
-
+class _VIMSequenceFields(NamedTuple):
     bags: tuple[frozenset[int], ...]
+
+
+class VIMSequence(_VIMSequenceFields):
+    """Bags F_1..F_T and their maximum size."""
 
     @cached_property
     def width(self) -> int:

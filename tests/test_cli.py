@@ -106,6 +106,19 @@ def test_no_feasible_algorithm_exit_3():
     assert code == 3
 
 
+def test_betweenness_approx_over_draw_budget_exits_3():
+    """Without --ell-cap the analysis asks for ~8.5e9 draws here; that is refused up front."""
+    args = ["betweenness-approx", "--star", "foremost", "--epsilon", "0.5", "--delta", "0.1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronopath.cli", *args],
+        input=b"0 1 1\n1 2 2\n",
+        capture_output=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert "8,542,809,160 path draws" in proc.stderr.decode()
+
+
 def test_count_auto_selects_once(tmp_path, monkeypatch, capsys):
     """The oracle fallback of `count --algo auto` is chosen once and keeps its cap."""
     from chronopath import cli, dispatch

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from chronopath import tfvs
 from chronopath.errors import BudgetExceededError
 from chronopath.forest import count_forest
 from chronopath.generate import random_forest_graph
@@ -231,6 +232,31 @@ def test_user_supplied_set(rng):
         for supplied in (x, x | extra):
             assert count_tfvs(g, s, z, tfvs=supplied) == want, (g.time_edges, s, z, supplied)
         checked += 1
+
+
+def test_orders_reach_the_check_time_sorted(rng, monkeypatch):
+    """count_tfvs permutes only equal times: every order it checks has non-decreasing times."""
+    check = tfvs._order_admissible
+    distinct_times = []
+
+    def sorted_only(order, s2, z2):
+        times = [t for _, t, _ in order]
+        assert times == sorted(times), order
+        distinct_times.append(len(set(times[1:-1])))
+        return check(order, s2, z2)
+
+    monkeypatch.setattr(tfvs, "_order_admissible", sorted_only)
+    for _ in range(60):
+        g = random_instance(rng, n_hi=8, t_hi=6, m_hi=16)
+        try:
+            x = compute_timed_fvs(g, budget=3)
+        except BudgetExceededError:
+            continue
+        x |= frozenset(rng.sample(all_appearances(g), 2))
+        s, z = rng.sample(range(g.n), 2)
+        assert count_tfvs(g, s, z, tfvs=x) == count_paths_bf(g, s, z), (g.time_edges, s, z, x)
+    # Orders with several distinct middle times were checked, not only ties.
+    assert max(distinct_times) >= 3
 
 
 def test_delete_appearances():
