@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: count, count-optimal, betweenness, betweenness-approx,
-sample, params, gen (and a hidden chordal-mcis debug hook for test
-tooling).  Input graphs are read from a file or stdin, either as an
+sample, params, gen.  Input graphs are read from a file or stdin, either as an
 edge-list document ("u v t" lines, '#' comments) or as the JSON form
 {"n": .., "T": .., "edges": [[u, v, t], ..]}.
 
@@ -172,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--length", type=int, default=4, help="diamond count")
     p_gen.add_argument("--label", type=int, default=1, help="diamond time label")
     p_gen.add_argument("--seed", type=int, default=0)
-
-    p_mcis = sub.add_parser("chordal-mcis")  # debug hook for test tooling
-    p_mcis.add_argument("--input", "-i", default="-")
 
     return parser
 
@@ -349,24 +345,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_chordal_mcis(args) -> int:
-    from .chordal import ChordalInstance, count_weighted_mc_is
-
-    if args.input == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    instance = ChordalInstance(
-        n=int(doc["n"]),
-        edges=tuple((int(u), int(v)) for u, v in doc["edges"]),
-        colour=tuple(int(c) for c in doc["colour"]),
-        weight=tuple(int(w) for w in doc["weight"]),
-    )
-    print(count_weighted_mc_is(instance, int(doc["k"])))
-    return EXIT_OK
-
-
 _COMMANDS = {
     "count": _cmd_count,
     "count-optimal": _cmd_count_optimal,
@@ -375,7 +353,6 @@ _COMMANDS = {
     "sample": _cmd_sample,
     "params": _cmd_params,
     "gen": _cmd_gen,
-    "chordal-mcis": _cmd_chordal_mcis,
 }
 
 _STATS_COMMANDS = {"betweenness-approx"}

@@ -1,25 +1,27 @@
 """Colour-coding machinery: exact multicoloured counts and the FPTRAS.
 
 ``count_multicoloured`` counts temporal (s,z)-paths that use exactly one
-vertex from each colour class.  For a fixed ordering pi of the classes the
-path shape is s, v_1, ..., v_l, z with v_i in class pi(i), and the count
-follows from a right-to-left "completions" table:
+vertex from each colour class, with the colour-subset DP of Alon, Yuster
+and Zwick ("Color-coding", JACM 1995).  For a set M of colours and a vertex
+w whose colour is not in M, let C_M(w, t) be the number of temporal
+(w,z)-paths that leave w at a label >= t and whose internal vertices are
+one vertex of each colour in M:
 
-    completions_l(u, t)  = number of labels t' >= t with {u,z} active at t'
-    completions_i(w, t') = sum over r >= t', u in class pi(i+1), {w,u} in E_r
-                           of completions_{i+1}(u, r)
-    paths(pi)            = sum over t, v in class pi(1) with {s,v} in E_t
-                           of completions_1(v, t)
+    C_0(w, t) = number of labels t' >= t with {w,z} active at t'
+    C_M(w, t) = sum over r >= t, u with colour c(u) in M, {w,u} in E_r
+                of C_{M - c(u)}(u, r)
+    answer    = sum over t, v with {s,v} in E_t of C_{all - c(v)}(v, t)
 
-and the answer is the sum of paths(pi) over all orderings.  The orderings
-are explored as a suffix tree so tables shared by many orderings are built
-once, and any all-zero table prunes every ordering below it; both are pure
-evaluation-order changes.
+Tables are built for the masks M in increasing order, 2^(k-1) - 1 of them
+for k-1 colours, and each holds rows (suffix sums over t) only for the
+vertices with at least one completion.
 
 ``estimate_short`` runs the standard colour-coding scheme on top: colour
 the non-terminal vertices uniformly with k-1 colours, count colourful
 paths exactly, and rescale by the probability (k-1)!/(k-1)^(k-1) that a
-fixed set of k-1 internal vertices becomes colourful.
+fixed set of k-1 internal vertices becomes colourful.  An estimate
+predicted to build more than WORK_BUDGET tables raises BudgetExceededError
+before its first trial.
 """
 
 from __future__ import annotations
@@ -27,11 +29,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, exp, factorial, log
 
-from .errors import InvalidParameterError, InvariantError
+from .errors import BudgetExceededError, InvalidParameterError
 from .graph import TemporalGraph
 from .rng import child_rng
 
 DEFAULT_TRIAL_CONSTANT = 3.0
+# Most colour-subset tables one estimate may build: 0.2-4.5 us each on
+# sparse graphs of 7-10 vertices, so 2-45 s (2-core VM, Python 3.11.7).
+WORK_BUDGET = 10**7
 
 
 def count_multicoloured(
@@ -44,67 +49,54 @@ def count_multicoloured(
     """
     if s == z:
         return 1 if num_colours == 0 else 0
-    classes: dict[int, list[int]] = {c: [] for c in range(1, num_colours + 1)}
+    bit = [0] * g.n
     for v, c in colours.items():
         if v in (s, z):
             raise ValueError("terminals must stay uncoloured")
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
         if not 1 <= c <= num_colours:
             raise ValueError(f"colour {c} out of range")
-        classes[c].append(v)
+        bit[v] = 1 << (c - 1)
     if num_colours == 0:
         return len(g.edge_labels(s, z))
-    if any(not members for members in classes.values()):
+    if len(set(colours.values())) < num_colours:
         return 0
 
     lifetime = g.lifetime
     incident = g.incident
-
-    def base_table(members: list[int]) -> dict[int, list[int]]:
-        """completions for the last class: suffix counts of edges to z."""
+    full = (1 << num_colours) - 1
+    # tables[mask][w] is the row C_mask(w, .) of the module docstring, kept
+    # only for the w with a completion; a mask is read after its subsets.
+    tables: list[dict[int, list[int]]] = []
+    for mask in range(full):
         table: dict[int, list[int]] = {}
-        for u in members:
-            row = [0] * (lifetime + 2)
-            for t in g.edge_labels(u, z):
-                row[t] += 1
-            for t in range(lifetime, 0, -1):
-                row[t] += row[t + 1]
-            table[u] = row
-        return table
-
-    def lift_table(members: list[int], nxt: dict[int, list[int]]) -> dict[int, list[int]]:
-        """completions one class earlier, given the next class's table."""
-        table: dict[int, list[int]] = {}
-        for w in members:
-            row = [0] * (lifetime + 2)
+        for w in colours:
+            if bit[w] & mask:
+                continue
+            row = None
             for u, r in incident[w]:
-                cell = nxt.get(u)
-                if cell is not None:
-                    row[r] += cell[r]
-            for t in range(lifetime, 0, -1):
-                row[t] += row[t + 1]
-            table[w] = row
-        return table
+                if mask:
+                    cell = tables[mask ^ bit[u]].get(u) if bit[u] & mask else None
+                    gain = cell[r] if cell is not None else 0
+                else:
+                    gain = 1 if u == z else 0
+                if gain:
+                    if row is None:
+                        row = [0] * (lifetime + 2)
+                    row[r] += gain
+            if row is not None:
+                for t in range(lifetime, 0, -1):
+                    row[t] += row[t + 1]
+                table[w] = row
+        tables.append(table)
 
     total = 0
-
-    def explore(remaining: frozenset[int], nxt: dict[int, list[int]] | None) -> None:
-        nonlocal total
-        if not remaining:
-            # nxt is the completions table of the full suffix = class pi(1).
-            if nxt is None:
-                raise InvariantError("no completions table at the end of an ordering")
-            for v, t in incident[s]:
-                cell = nxt.get(v)
-                if cell is not None:
-                    total += cell[t]
-            return
-        for c in sorted(remaining):
-            members = classes[c]
-            table = base_table(members) if nxt is None else lift_table(members, nxt)
-            if any(row[1] for row in table.values()):
-                explore(remaining - {c}, table)
-
-    explore(frozenset(range(1, num_colours + 1)), None)
+    for v, t in incident[s]:
+        if bit[v]:
+            cell = tables[full ^ bit[v]].get(v)
+            if cell is not None:
+                total += cell[t]
     return total
 
 
@@ -119,6 +111,25 @@ def _check_params(epsilon: float, delta: float) -> None:
         raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _check_work(g: TemporalGraph, ks: range, epsilon: float, delta: float) -> None:
+    """Refuse, before any trial, an estimate over lengths ``ks`` above WORK_BUDGET.
+
+    Lengths that draw no colouring (k = 1, or more internal vertices than
+    the graph has besides s and z) cost nothing.
+    """
+    work = sum(
+        trial_count(k, epsilon, delta, DEFAULT_TRIAL_CONSTANT) << (k - 1)
+        for k in ks
+        if 2 <= k <= g.n - 1
+    )
+    if work > WORK_BUDGET:
+        raise BudgetExceededError(
+            f"the estimate needs {work:,} colour-subset tables (trials x 2^(k-1) "
+            f"summed over path lengths k), over the budget of {WORK_BUDGET:,}; "
+            f"estimate shorter paths (--k, --k-max)"
+        )
+
+
 def estimate_short(
     g: TemporalGraph,
     s: int,
@@ -127,7 +138,6 @@ def estimate_short(
     epsilon: float,
     delta: float,
     seed: int,
-    trial_constant: float = DEFAULT_TRIAL_CONSTANT,
 ) -> Fraction:
     """Randomized estimate of the number of temporal (s,z)-paths with k edges.
 
@@ -147,7 +157,8 @@ def estimate_short(
     ell = k - 1
     if len(internal) < ell:
         return Fraction(0)
-    trials = trial_count(k, epsilon, delta, trial_constant)
+    _check_work(g, range(k, k + 1), epsilon, delta)
+    trials = trial_count(k, epsilon, delta, DEFAULT_TRIAL_CONSTANT)
     running = 0
     for trial in range(trials):
         rng = child_rng(seed, "short", k, trial)
@@ -166,7 +177,6 @@ def estimate_total(
     delta: float,
     seed: int,
     k_max: int | None = None,
-    trial_constant: float = DEFAULT_TRIAL_CONSTANT,
 ) -> Fraction:
     """Estimate of the total (s,z)-path count by summing per-length estimates.
 
@@ -181,9 +191,8 @@ def estimate_total(
         return Fraction(1)
     cap = k_max if k_max is not None else max(g.n - 1, 1)
     per_delta = delta / cap
+    _check_work(g, range(1, cap + 1), epsilon, per_delta)
     total = Fraction(0)
     for k in range(1, cap + 1):
-        total += estimate_short(
-            g, s, z, k, epsilon, per_delta, seed, trial_constant=trial_constant
-        )
+        total += estimate_short(g, s, z, k, epsilon, per_delta, seed)
     return total

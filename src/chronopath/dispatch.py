@@ -87,10 +87,8 @@ def dispatch_count(
         algo, tfvs_set = select_algorithm(g, caps, tfvs_set)
         selected = True
     if algo == "oracle":
-        if not selected:
-            return oracle.count_paths_bf(g, s, z)
         try:
-            return len(oracle.enumerate_paths(g, s, z, limit=caps.oracle_limit))
+            return oracle.count_paths_bf(g, s, z, caps.oracle_limit if selected else None)
         except EnumerationLimitError:
             raise NoFeasibleAlgorithmError(
                 "all structural parameters exceed their caps and the "

@@ -44,6 +44,12 @@ def iter_paths(g: TemporalGraph, s: int, z: int) -> Iterator[TemporalPath]:
     yield from extend(s, 1)
 
 
+def _over_limit(limit: int, s: int, z: int) -> EnumerationLimitError:
+    return EnumerationLimitError(
+        f"more than {limit} temporal ({s},{z})-paths; instance too large for the oracle"
+    )
+
+
 def enumerate_paths(
     g: TemporalGraph, s: int, z: int, limit: int | None = DEFAULT_ENUMERATION_LIMIT
 ) -> list[TemporalPath]:
@@ -52,17 +58,20 @@ def enumerate_paths(
     for path in iter_paths(g, s, z):
         out.append(path)
         if limit is not None and len(out) > limit:
-            raise EnumerationLimitError(
-                f"more than {limit} temporal ({s},{z})-paths; instance too large for the oracle"
-            )
+            raise _over_limit(limit, s, z)
     return out
 
 
-def count_paths_bf(g: TemporalGraph, s: int, z: int) -> int:
-    """Count temporal (s,z)-paths without materializing them; s == z gives 1."""
+def count_paths_bf(g: TemporalGraph, s: int, z: int, limit: int | None = None) -> int:
+    """Count temporal (s,z)-paths without materializing them; s == z gives 1.
+
+    Past ``limit`` paths the count stops with EnumerationLimitError.
+    """
     total = 0
     for _ in iter_paths(g, s, z):
         total += 1
+        if limit is not None and total > limit:
+            raise _over_limit(limit, s, z)
     return total
 
 

@@ -259,7 +259,6 @@ def count_tfvs(
     s: int,
     z: int,
     tfvs: frozenset[Appearance] | None = None,
-    budget: int | None = None,
 ) -> int:
     """Number of temporal (s,z)-paths, FPT in the timed feedback vertex number.
 
@@ -276,7 +275,7 @@ def count_tfvs(
 
     # Dropping no-op and bracket appearances keeps a set valid or invalid,
     # so one residual both checks a supplied set and is counted on.
-    x = compute_timed_fvs(g2, budget=budget) if tfvs is None else frozenset(tfvs)
+    x = compute_timed_fvs(g2) if tfvs is None else frozenset(tfvs)
     x = _sanitize_tfvs(g2, x, brackets)
     residual = delete_appearances(g2, x)
     forest = underlying_graph(residual)

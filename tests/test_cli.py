@@ -119,6 +119,25 @@ def test_betweenness_approx_over_draw_budget_exits_3():
     assert "8,542,809,160 path draws" in proc.stderr.decode()
 
 
+def test_estimate_over_work_budget_exits_3():
+    """Estimating every length on 15 vertices would take hours; it is refused up front."""
+    code, graph, _ = run_cli(
+        ["gen", "--kind", "random", "--n", "16", "--m", "30", "--t-max", "6", "--seed", "1"]
+    )
+    assert code == 0
+    for extra in ([], ["--k", "14"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronopath.cli", "count", "--algo", "estimate",
+             "-s", "0", "-z", "1", *extra],
+            input=graph.encode(),
+            capture_output=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (3, b""), extra
+        assert "colour-subset tables" in proc.stderr.decode()
+        assert "--k-max" in proc.stderr.decode()
+
+
 def test_count_auto_selects_once(tmp_path, monkeypatch, capsys):
     """The oracle fallback of `count --algo auto` is chosen once and keeps its cap."""
     from chronopath import cli, dispatch
@@ -367,14 +386,3 @@ def test_tfvs_file(tmp_path):
         ["count", "-i", str(graph_file), "-s", "0", "-z", "2", "--algo", "tfvs", "--tfvs-file", str(tfvs)]
     )
     assert code == 0 and out.strip() == "2"
-
-
-def test_chordal_mcis_debug_subcommand():
-    doc = json.dumps(
-        {"n": 3, "edges": [[0, 1], [1, 2]], "colour": [1, 2, 2], "weight": [2, 3, 5], "k": 2}
-    )
-    code, out, _ = run_cli(["chordal-mcis", "-i", "-"], doc)
-    assert code == 0 and out.strip() == "10"
-    code, _, _ = run_cli(["--help"])
-    # hidden from the subcommand listing but callable
-    assert code == 0

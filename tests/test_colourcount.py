@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chronopath import colourcount
 from chronopath.colourcount import (
     count_multicoloured,
     estimate_short,
@@ -31,6 +32,56 @@ def bruteforce_k_paths(g, s, z, k):
     return sum(1 for p in iter_paths(g, s, z) if p.length == k)
 
 
+def _reference_count_multicoloured(g, s, z, colours, num_colours):
+    """The ordering DP: sum, over every ordering pi of the colour classes, of
+    the paths s, v_1, ..., v_l, z with v_i in class pi(i), each ordering's
+    count built right to left as a table of suffix sums over labels.  The
+    orderings share tables as a suffix tree, and an all-zero table prunes
+    every ordering below it."""
+    if s == z:
+        return 1 if num_colours == 0 else 0
+    classes = {c: [] for c in range(1, num_colours + 1)}
+    for v, c in colours.items():
+        if v in (s, z):
+            raise ValueError("terminals must stay uncoloured")
+        if not 1 <= c <= num_colours:
+            raise ValueError(f"colour {c} out of range")
+        classes[c].append(v)
+    if num_colours == 0:
+        return len(g.edge_labels(s, z))
+    if any(not members for members in classes.values()):
+        return 0
+    lifetime = g.lifetime
+
+    def table_for(members, nxt):
+        table = {}
+        for w in members:
+            row = [0] * (lifetime + 2)
+            if nxt is None:
+                for t in g.edge_labels(w, z):
+                    row[t] += 1
+            else:
+                for u, r in g.incident[w]:
+                    if u in nxt:
+                        row[r] += nxt[u][r]
+            for t in range(lifetime, 0, -1):
+                row[t] += row[t + 1]
+            table[w] = row
+        return table
+
+    def explore(remaining, nxt):
+        if not remaining:
+            return sum(nxt[v][t] for v, t in g.incident[s] if v in nxt)
+        total = 0
+        for c in sorted(remaining):
+            table = table_for(classes[c], nxt)
+            if any(row[1] for row in table.values()):
+                total += explore(remaining - {c}, table)
+        return total
+
+    return explore(frozenset(classes), None)
+
+
 def test_examples():
     assert count_multicoloured(I1, 0, 2, {1: 1}, 1) == 1
     d = diamond_chain(1)
@@ -38,6 +89,13 @@ def test_examples():
     # a colour class with no neighbour of s kills every path
     g = make_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     assert count_multicoloured(g, 0, 2, {1: 1, 3: 2}, 2) == 0
+
+
+def test_colouring_validation():
+    # A terminal, a colour past num_colours, or a vertex outside the graph.
+    for bad in ({0: 1}, {1: 2}, {-1: 1}, {3: 1}):
+        with pytest.raises(ValueError):
+            count_multicoloured(I1, 0, 2, bad, 1)
 
 
 def test_against_bruteforce(rng):
@@ -50,6 +108,50 @@ def test_against_bruteforce(rng):
         assert count_multicoloured(g, s, z, colours, nc) == bruteforce_colourful(
             g, s, z, colours, nc
         )
+
+
+def test_subset_dp_matches_ordering_dp(rng):
+    seen = {"empty class": 0, "zero": 0, "positive": 0}
+    high = 0
+    for _ in range(400):
+        g = random_instance(rng, n_lo=3, n_hi=11, t_hi=5, m_hi=40)
+        s, z = rng.sample(range(g.n), 2)
+        others = [v for v in range(g.n) if v not in (s, z)]
+        paths = list(iter_paths(g, s, z)) if rng.random() < 0.5 else []
+        inner = rng.choice(paths).vertices()[1:-1] if paths else []
+        # Half the colourings give one random path's internal vertices
+        # distinct colours, so that colourful paths with up to 7 colours
+        # occur; the rest are uniform and often leave a class empty.
+        nc = len(inner) if 0 < len(inner) <= 7 else rng.randint(0, 7)
+        colours = {v: rng.randint(1, nc) for v in others} if nc else {}
+        if len(inner) == nc:
+            colours.update(zip(inner, rng.sample(range(1, nc + 1), nc)))
+        got = count_multicoloured(g, s, z, colours, nc)
+        assert got == _reference_count_multicoloured(g, s, z, colours, nc)
+        if len(set(colours.values())) < nc:
+            seen["empty class"] += 1
+        else:
+            seen["zero" if got == 0 else "positive"] += 1
+            high += got > 0 and nc >= 4
+    assert min(seen.values()) >= 30 and high >= 30, (seen, high)
+
+
+def test_seeded_estimates_match_ordering_dp(monkeypatch):
+    cases = [
+        (diamond_chain(2), 0, 6, 4),
+        (random_forest_graph(n=7, m=10, t_max=4, seed=5), 0, 6, 3),
+        (
+            make_graph(6, [(0, 1, 1), (1, 2, 2), (2, 5, 3), (0, 3, 1), (3, 4, 2), (4, 5, 2), (1, 4, 1)]),
+            0, 5, 3,
+        ),
+    ]
+    got = [estimate_short(g, s, z, k, 0.5, 0.2, seed=7) for g, s, z, k in cases]
+    got += [estimate_total(g, s, z, 0.5, 0.2, seed=8) for g, s, z, _ in cases]
+    monkeypatch.setattr(colourcount, "count_multicoloured", _reference_count_multicoloured)
+    want = [estimate_short(g, s, z, k, 0.5, 0.2, seed=7) for g, s, z, k in cases]
+    want += [estimate_total(g, s, z, 0.5, 0.2, seed=8) for g, s, z, _ in cases]
+    assert got == want
+    assert any(got)
 
 
 def test_length_decomposition_matches_total(rng):
