@@ -75,11 +75,28 @@ def _read_tfvs_file(path: str, g: TemporalGraph) -> frozenset[tuple[int, int]]:
     return frozenset(appearances)
 
 
-def _counter_for(algo: str, caps: DispatchCaps):
-    def counter(h: TemporalGraph, s: int, z: int) -> int:
-        return dispatch_count(h, s, z, algo=algo, caps=caps)
+def _counter_for(g: TemporalGraph, algo: str, caps: DispatchCaps, tfvs_set=None):
+    """(engine, counter) for g and every instance cut from g; ``auto`` routes g once.
 
-    return counter
+    A cut that is a forest goes to the forest DP, and a cut (never g) too
+    large for an oracle chosen for g is routed on its own.  A named oracle
+    is uncapped.
+    """
+    if algo != "auto":
+        caps = caps._replace(oracle_limit=None)
+        return algo, lambda h, s, z: dispatch_count(h, s, z, algo, caps, tfvs_set)
+    engine, tfvs_set = select_algorithm(g, caps, tfvs_set)
+
+    def counter(h: TemporalGraph, s: int, z: int) -> int:
+        routed = "forest" if underlying_graph(h).is_forest else engine
+        try:
+            return dispatch_count(h, s, z, routed, caps, tfvs_set)
+        except NoFeasibleAlgorithmError:
+            if h is g:
+                raise
+            return dispatch_count(h, s, z, "auto", caps)
+
+    return engine, counter
 
 
 def _format_path(g: TemporalGraph, path) -> str:
@@ -126,10 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--seed", type=int, default=0)
     p_count.add_argument("--k", type=int, default=None, help="estimate paths with exactly k edges")
     p_count.add_argument("--k-max", type=int, default=None, help="length cap for --algo estimate")
-    p_count.add_argument("--vimw-cap", type=int, default=None, help="auto-routing cap")
-    p_count.add_argument("--tfvs-cap", type=int, default=None, help="auto-routing cap")
-    p_count.add_argument("--fen-cap", type=int, default=None, help="auto-routing cap")
-    p_count.add_argument("--oracle-limit", type=int, default=None, help="auto-routing cap")
+    for cap, default in zip(DispatchCaps._fields, DispatchCaps()):
+        flag = "--" + cap.replace("_", "-")
+        p_count.add_argument(flag, type=int, default=default, help="auto-routing cap")
 
     p_opt = sub.add_parser("count-optimal", help="count foremost or fastest (s,z)-paths")
     _add_common(p_opt)
@@ -193,20 +209,9 @@ def _cmd_count(args) -> int:
         _emit(args, payload, str(value))
         return EXIT_OK
     tfvs_set = _read_tfvs_file(args.tfvs_file, g) if args.tfvs_file else None
-    defaults = DispatchCaps()
-    caps = DispatchCaps(
-        vimw_cap=args.vimw_cap if args.vimw_cap is not None else defaults.vimw_cap,
-        tfvs_cap=args.tfvs_cap if args.tfvs_cap is not None else defaults.tfvs_cap,
-        fen_cap=args.fen_cap if args.fen_cap is not None else defaults.fen_cap,
-        oracle_limit=args.oracle_limit if args.oracle_limit is not None else defaults.oracle_limit,
-    )
-    algo = args.algo
-    selected = algo == "auto"
-    if selected:
-        algo, tfvs_set = select_algorithm(g, caps, tfvs_set)
-    value = dispatch_count(
-        g, s, z, algo=algo, caps=caps, tfvs_set=tfvs_set, selected=selected
-    )
+    caps = DispatchCaps(args.vimw_cap, args.tfvs_cap, args.fen_cap, args.oracle_limit)
+    algo, counter = _counter_for(g, args.algo, caps, tfvs_set)
+    value = counter(g, s, z)
     _emit(args, {"count": str(value), "algo": algo}, str(value))
     return EXIT_OK
 
@@ -216,7 +221,7 @@ def _cmd_count_optimal(args) -> int:
 
     g = _read_graph(args.input)
     s, z = _vertex(g, args.s), _vertex(g, args.z)
-    counter = _counter_for(args.algo, DispatchCaps())
+    _, counter = _counter_for(g, args.algo, DispatchCaps())
     value, _ = reductions.sigma_through(g, s, z, (), args.star, counter)
     _emit(args, {"count": str(value), "star": args.star}, str(value))
     return EXIT_OK
@@ -226,7 +231,7 @@ def _cmd_betweenness(args) -> int:
     from . import reductions
 
     g = _read_graph(args.input)
-    counter = _counter_for(args.algo, DispatchCaps())
+    _, counter = _counter_for(g, args.algo, DispatchCaps())
     vertices = [(_vertex(g, args.vertex))] if args.vertex is not None else list(range(g.n))
     values = reductions.betweenness_exact(g, vertices, args.star, counter)
     rows = [(g.vertex_name(v), value) for v, value in zip(vertices, values)]
@@ -243,7 +248,7 @@ def _cmd_betweenness_approx(args) -> int:
     from . import maxbetweenness
 
     g = _read_graph(args.input)
-    counter = _counter_for(args.algo, DispatchCaps())
+    _, counter = _counter_for(g, args.algo, DispatchCaps())
     estimate = maxbetweenness.estimate_max_betweenness(
         g,
         args.star,
@@ -277,7 +282,7 @@ def _cmd_sample(args) -> int:
         raise InvalidParameterError(f"--count must be >= 0, got {args.count}")
     g = _read_graph(args.input)
     s, z = _vertex(g, args.s), _vertex(g, args.z)
-    counter = _counter_for(args.algo, DispatchCaps())
+    _, counter = _counter_for(g, args.algo, DispatchCaps())
     if args.optimal == "none":
         sampler = sampling.PathSampler(g, s, z, counter)
         if sampler.total_count() <= 0:
@@ -373,10 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NoFeasibleAlgorithmError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ALGORITHM
-    except (EdgeListParseError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ChronopathError as exc:
+    except (ChronopathError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,9 +19,9 @@ vertices with at least one completion.
 ``estimate_short`` runs the standard colour-coding scheme on top: colour
 the non-terminal vertices uniformly with k-1 colours, count colourful
 paths exactly, and rescale by the probability (k-1)!/(k-1)^(k-1) that a
-fixed set of k-1 internal vertices becomes colourful.  An estimate
-predicted to build more than WORK_BUDGET tables raises BudgetExceededError
-before its first trial.
+fixed set of k-1 internal vertices becomes colourful.  An estimate whose
+tables times time-edges are predicted above WORK_BUDGET raises
+BudgetExceededError before its first trial.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .graph import TemporalGraph
 from .rng import child_rng
 
 DEFAULT_TRIAL_CONSTANT = 3.0
-# Most colour-subset tables one estimate may build: 0.2-4.5 us each on
-# sparse graphs of 7-10 vertices, so 2-45 s (2-core VM, Python 3.11.7).
-WORK_BUDGET = 10**7
+# Most colour-subset tables times time-edges one estimate may predict: 0.1-0.3
+# us each on random graphs of 8-24 vertices, so 10-30 s (2-core VM, Python 3.11.7).
+WORK_BUDGET = 10**8
 
 
 def count_multicoloured(
@@ -117,16 +117,17 @@ def _check_work(g: TemporalGraph, ks: range, epsilon: float, delta: float) -> No
     Lengths that draw no colouring (k = 1, or more internal vertices than
     the graph has besides s and z) cost nothing.
     """
-    work = sum(
+    tables = sum(
         trial_count(k, epsilon, delta, DEFAULT_TRIAL_CONSTANT) << (k - 1)
         for k in ks
         if 2 <= k <= g.n - 1
     )
+    work = tables * len(g.time_edges)
     if work > WORK_BUDGET:
         raise BudgetExceededError(
-            f"the estimate needs {work:,} colour-subset tables (trials x 2^(k-1) "
-            f"summed over path lengths k), over the budget of {WORK_BUDGET:,}; "
-            f"estimate shorter paths (--k, --k-max)"
+            f"the estimate needs {tables:,} colour-subset tables (trials x 2^(k-1) summed "
+            f"over path lengths k) x {len(g.time_edges):,} time-edges = {work:,}, over the "
+            f"budget of {WORK_BUDGET:,}; estimate shorter paths (--k, --k-max)"
         )
 
 

@@ -7,6 +7,11 @@ algorithm with the smallest measured parameter among those under their
 caps, and falls back to capped brute-force enumeration.  Parameter values
 of different algorithms are not really commensurable, but a fixed
 deterministic rule beats no rule.
+
+A choice made on g is sound for every instance cut from g by deleting
+time-edges or vertices: the cut's vimw width and feedback edge number are
+no larger, a timed FVS of g still leaves it a forest, and every engine is
+exact.  Only the capped oracle can refuse a cut.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ class DispatchCaps(NamedTuple):
     vimw_cap: int = 8
     tfvs_cap: int = 4
     fen_cap: int = 12
-    oracle_limit: int = 10**6
+    oracle_limit: int | None = 10**6
 
 
 ALGORITHMS = ("auto", "oracle", "forest", "vimw", "tfvs", "fen")
@@ -51,14 +56,12 @@ def select_algorithm(
         candidates.append((width, 0, "vimw"))
     if f <= caps.fen_cap:
         candidates.append((f, 2, "fen"))
-    if tfvs_set is not None:
-        candidates.append((len(tfvs_set), 1, "tfvs"))
-    else:
-        try:
+    try:
+        if tfvs_set is None:
             tfvs_set = tfvs.compute_timed_fvs(g, budget=min(caps.tfvs_cap, width, f))
-            candidates.append((len(tfvs_set), 1, "tfvs"))
-        except BudgetExceededError:
-            pass
+        candidates.append((len(tfvs_set), 1, "tfvs"))
+    except BudgetExceededError:
+        pass
     if not candidates:
         return "oracle", tfvs_set
     _, _, chosen = min(candidates)
@@ -72,23 +75,17 @@ def dispatch_count(
     algo: str = "auto",
     caps: DispatchCaps = DispatchCaps(),
     tfvs_set=None,
-    *,
-    selected: bool = False,
 ) -> int:
     """Number of temporal (s,z)-paths, counted by the engine ``algo``.
 
-    ``auto`` picks the engine with :func:`select_algorithm`.  A caller that
-    has already called it on ``g`` passes its choice as ``algo`` and
-    ``tfvs_set`` with ``selected=True``, so the choice is made once and an
-    oracle fallback still keeps auto's enumeration cap; an ``oracle`` asked
-    for by name is uncapped.
+    ``auto`` picks the engine with :func:`select_algorithm`.  The oracle
+    enumerates at most ``caps.oracle_limit`` paths (``None``: no limit).
     """
     if algo == "auto":
         algo, tfvs_set = select_algorithm(g, caps, tfvs_set)
-        selected = True
     if algo == "oracle":
         try:
-            return oracle.count_paths_bf(g, s, z, caps.oracle_limit if selected else None)
+            return oracle.count_paths_bf(g, s, z, caps.oracle_limit)
         except EnumerationLimitError:
             raise NoFeasibleAlgorithmError(
                 "all structural parameters exceed their caps and the "

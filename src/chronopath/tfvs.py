@@ -238,20 +238,22 @@ def preprocess_terminals(
     return out, s2, z2
 
 
-def _sanitize_tfvs(
-    g: TemporalGraph, x: frozenset[Appearance], brackets: tuple[Appearance, Appearance]
-) -> frozenset[Appearance]:
-    """Drop no-op appearances and the two bracket appearances.
+def _sanitize_tfvs(g: TemporalGraph, x: frozenset[Appearance]) -> frozenset[Appearance]:
+    """A minimal timed FVS inside x: in sorted order, drop each appearance not needed.
 
-    Appearances incident to no time-edge delete nothing; the brackets sit
-    on pendant bridge edges which lie on no cycle.  Either removal keeps
-    the set a valid timed feedback vertex set.
+    An appearance goes when the set without it still leaves a forest, one
+    2-core test each.  No-op appearances and the two brackets, which sit on
+    pendant bridge edges, always go.  An invalid x stays as it is, since no
+    subset of it is valid.
     """
-    active: set[Appearance] = set()
-    for u, v, t in g.time_edges:
-        active.add((u, t))
-        active.add((v, t))
-    return frozenset(a for a in x if a in active and a not in brackets)
+    kept = set(x)
+    for a in sorted(x):
+        kept.discard(a)
+        if _two_core(
+            (u, v) for u, v, t in g.time_edges if (u, t) not in kept and (v, t) not in kept
+        ):
+            kept.add(a)
+    return frozenset(kept)
 
 
 def count_tfvs(
@@ -271,12 +273,10 @@ def count_tfvs(
         return 0
     g2, s2, z2 = preprocess_terminals(g, s, z)
     lifetime = g2.lifetime
-    brackets = ((s2, 1), (z2, lifetime))
 
-    # Dropping no-op and bracket appearances keeps a set valid or invalid,
-    # so one residual both checks a supplied set and is counted on.
-    x = compute_timed_fvs(g2) if tfvs is None else frozenset(tfvs)
-    x = _sanitize_tfvs(g2, x, brackets)
+    # Shrinking keeps a set valid or invalid, so one residual both checks a
+    # supplied set and is counted on.
+    x = _sanitize_tfvs(g2, compute_timed_fvs(g2) if tfvs is None else tfvs)
     residual = delete_appearances(g2, x)
     forest = underlying_graph(residual)
     if not forest.is_forest:

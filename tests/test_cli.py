@@ -138,6 +138,47 @@ def test_estimate_over_work_budget_exits_3():
         assert "--k-max" in proc.stderr.decode()
 
 
+def test_estimate_budget_counts_time_edges():
+    """k = 8 on 24 vertices and 240 time-edges would take minutes; it is refused at once."""
+    code, graph, _ = run_cli(
+        ["gen", "--kind", "random", "--n", "24", "--m", "240", "--t-max", "12", "--seed", "1"]
+    )
+    assert code == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronopath.cli", "count", "--algo", "estimate",
+         "--k", "8", "--epsilon", "0.5", "-s", "0", "-z", "1"],
+        input=graph.encode(),
+        capture_output=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert "240 time-edges" in proc.stderr.decode()
+
+
+def test_betweenness_routes_once_on_the_input_graph():
+    """All-vertex foremost betweenness on random(12, 30, 40, 1) routes g once.
+
+    Routing every restricted sub-instance instead took about 20 s, almost
+    all of it in timed-FVS searches; the values are the ones it gave.
+    """
+    code, graph, _ = run_cli(
+        ["gen", "--kind", "random", "--n", "12", "--m", "30", "--t-max", "40", "--seed", "1"]
+    )
+    assert code == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronopath.cli", "betweenness", "--star", "foremost"],
+        input=graph.encode(),
+        capture_output=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = dict(line.split("\t") for line in proc.stdout.decode().splitlines())
+    assert rows == {
+        "0": "0", "1": "122/3", "2": "32/3", "3": "53/2", "4": "11/2", "5": "48",
+        "6": "9/2", "7": "10/3", "8": "21/2", "9": "1/2", "10": "39/2", "11": "1",
+    }
+
+
 def test_count_auto_selects_once(tmp_path, monkeypatch, capsys):
     """The oracle fallback of `count --algo auto` is chosen once and keeps its cap."""
     from chronopath import cli, dispatch
@@ -166,8 +207,13 @@ def test_count_auto_selects_once(tmp_path, monkeypatch, capsys):
     assert code == 3 and len(calls) == 1
     assert "too large for brute force" in capsys.readouterr().err
     with pytest.raises(NoFeasibleAlgorithmError):
-        dispatch_count(g, 0, 5, algo="oracle", caps=DispatchCaps(oracle_limit=2), selected=True)
-    assert dispatch_count(g, 0, 5, algo="oracle", caps=DispatchCaps(oracle_limit=2)) == 65
+        dispatch_count(g, 0, 5, algo="oracle", caps=DispatchCaps(oracle_limit=2))
+    assert dispatch_count(g, 0, 5, algo="oracle", caps=DispatchCaps(oracle_limit=None)) == 65
+    # An oracle named on the command line is not capped.
+    code = cli.main(
+        ["count", "-s", "0", "-z", "5", "-i", str(path), "--algo", "oracle", "--oracle-limit", "2"]
+    )
+    assert code == 0 and capsys.readouterr().out == "65\n"
 
 
 def test_dispatch_routing(rng):

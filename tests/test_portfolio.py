@@ -7,8 +7,14 @@ evidence.  Counts here run into the millions.
 
 import random
 
+import pytest
+
+from chronopath import dispatch
+from chronopath.cli import _counter_for
+from chronopath.dispatch import DispatchCaps, dispatch_count
 from chronopath.fen import count_fen
-from chronopath.generate import diamond_chain
+from chronopath.generate import diamond_chain, random_temporal_graph
+from chronopath.reductions import betweenness_exact, sigma_through
 from chronopath.tfvs import compute_timed_fvs, count_tfvs
 from chronopath.vimw import count_vimw
 from chronopath.errors import BudgetExceededError
@@ -55,3 +61,48 @@ def test_all_engines_on_wide_diamond():
     # desk-scale set size on a shorter chain.
     small = diamond_chain(6)
     assert count_tfvs(small, 0, small.n - 1) == 2**6
+
+
+# (random_temporal_graph arguments, caps, engine chosen for the whole graph).
+BOUND_PANEL = [
+    ((8, 10, 10, 12), DispatchCaps(), "forest"),
+    ((9, 20, 20, 3), DispatchCaps(), "vimw"),
+    ((8, 14, 10, 3), DispatchCaps(), "fen"),
+    ((8, 14, 10, 1), DispatchCaps(), "tfvs"),
+    ((10, 16, 12, 2), DispatchCaps(), "tfvs"),
+    # Only the oracle is left for the whole graph, and some foremost windows
+    # hold more than 5 paths: the bound counter routes those on their own.
+    ((8, 14, 10, 7), DispatchCaps(vimw_cap=6, tfvs_cap=0, fen_cap=0, oracle_limit=5), "oracle"),
+]
+
+
+@pytest.mark.parametrize("args, caps, engine", BOUND_PANEL)
+def test_bound_counter_matches_per_instance_routing(args, caps, engine, monkeypatch):
+    """One engine chosen on g counts every cut of g as routing each cut would."""
+    g = random_temporal_graph(*args)
+    chosen, bound = _counter_for(g, "auto", caps)
+    assert chosen == engine
+
+    def routed(h, s, z):
+        return dispatch_count(h, s, z, "auto", caps)
+
+    rerouted = []
+    select = dispatch.select_algorithm
+
+    def counting_select(*a, **kw):
+        rerouted.append(a[0])
+        return select(*a, **kw)
+
+    vertices = list(range(g.n))
+    pairs = [(s, z) for s in vertices for z in vertices if s != z]
+    for star in ("foremost", "fastest"):
+        want = betweenness_exact(g, vertices, star, routed)
+        sigmas = [sigma_through(g, s, z, set(vertices) - {s, z}, star, routed) for s, z in pairs]
+        with monkeypatch.context() as m:
+            m.setattr(dispatch, "select_algorithm", counting_select)
+            assert betweenness_exact(g, vertices, star, bound) == want, star
+            for (s, z), sigma in zip(pairs, sigmas):
+                assert sigma_through(g, s, z, set(vertices) - {s, z}, star, bound) == sigma
+    # Only a cut too large for the oracle is routed again, and never g.
+    assert bool(rerouted) == (engine == "oracle")
+    assert all(h is not g for h in rerouted)

@@ -9,6 +9,7 @@ from chronopath.generate import random_forest_graph
 from chronopath.graph import StaticGraph, underlying_graph
 from chronopath.oracle import count_paths_bf
 from chronopath.tfvs import (
+    _sanitize_tfvs,
     _shortest_cycle_edges,
     _two_core,
     compute_timed_fvs,
@@ -232,6 +233,20 @@ def test_user_supplied_set(rng):
         for supplied in (x, x | extra):
             assert count_tfvs(g, s, z, tfvs=supplied) == want, (g.time_edges, s, z, supplied)
         checked += 1
+
+
+def test_sanitize_returns_a_minimal_set(rng):
+    """A valid set shrinks to a timed FVS from which no appearance can be dropped."""
+    for _ in range(80):
+        g = random_instance(rng, n_hi=8, t_hi=6, m_hi=16)
+        appearances = all_appearances(g)
+        for x in (frozenset(appearances), frozenset(rng.sample(appearances, len(appearances) // 2))):
+            kept = _sanitize_tfvs(g, x)
+            if not is_timed_fvs(g, x):
+                assert kept == x
+                continue
+            assert kept <= x and is_timed_fvs(g, kept)
+            assert not any(is_timed_fvs(g, kept - {a}) for a in kept), (g.time_edges, x, kept)
 
 
 def test_orders_reach_the_check_time_sorted(rng, monkeypatch):
