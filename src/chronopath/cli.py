@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, fen, tfvs, vimw
+from . import __version__
 from .dispatch import ALGORITHMS, DispatchCaps, dispatch_count, select_algorithm
 from .errors import (
     BudgetExceededError,
@@ -306,6 +306,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    from . import fen, tfvs, vimw
+
     if args.tfvs_budget < 0:
         raise InvalidParameterError(f"--tfvs-budget must be >= 0, got {args.tfvs_budget}")
     g = _read_graph(args.input)

@@ -1,24 +1,30 @@
 """Algorithm selection for exact counting.
 
-``auto`` routes forests to the forest DP; otherwise it measures the three
-structural parameters (vertex-interval-membership width, minimum timed
-feedback vertex set size under a budget, feedback edge number), picks the
-algorithm with the smallest measured parameter among those under their
-caps, and falls back to capped brute-force enumeration.  Parameter values
-of different algorithms are not really commensurable, but a fixed
-deterministic rule beats no rule.
+``auto`` runs the first engine that fits its cap, in the order forest, vimw
+(vertex-interval-membership width at most ``vimw_cap``), fen (feedback edge
+number at most ``fen_cap``), tfvs (a timed feedback vertex set of at most
+``tfvs_cap`` appearances), and last the capped brute-force oracle.  The caps
+are feasibility limits, not a score: each parameter is measured only when
+the engines before it do not fit, so the timed-FVS search runs only when
+neither vimw nor fen does.  The order is measured: over all-vertex foremost
+and fastest betweenness on 47 non-forest ``random_temporal_graph`` instances
+(n 8-20, m = n + 6, T 8-100, and five 8-10 vertex graphs with m up to 20),
+vimw was the fastest engine on all 15 graphs where its width fit the cap,
+and fen was faster than tfvs on all 21 graphs where both fit (2.6-7.6x).
 
 A choice made on g is sound for every instance cut from g by deleting
 time-edges or vertices: the cut's vimw width and feedback edge number are
 no larger, a timed FVS of g still leaves it a forest, and every engine is
 exact.  Only the capped oracle can refuse a cut.
+
+Each engine module is imported when it is first selected or counted with,
+so a process loads only the engines it runs.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import fen, forest, oracle, tfvs, vimw
 from .errors import BudgetExceededError, EnumerationLimitError, NoFeasibleAlgorithmError
 from .graph import TemporalGraph, underlying_graph
 
@@ -40,32 +46,30 @@ def select_algorithm(
 ) -> tuple[str, frozenset | None]:
     """Pick the engine `auto` mode will run, without running it.
 
-    Forests go straight to the forest DP.  Otherwise the candidate with the
-    smallest measured parameter under its cap wins, ties broken in the
-    order vimw < tfvs < fen; with no candidate the oracle is the fallback.
-    Returns the engine name and the timed FVS if one was computed.
+    The first engine that fits its cap wins: forest, vimw, fen, tfvs, then
+    the oracle.  A supplied ``tfvs_set`` stands in for the timed-FVS search,
+    whatever its size.  Returns the engine name and the timed FVS, supplied
+    or found.
     """
     static = underlying_graph(g)
     if static.is_forest:
         return "forest", tfvs_set
+    from . import vimw
 
-    width = vimw.vimw_width(g)
-    f = len(fen.feedback_edge_set(static))
-    candidates: list[tuple[int, int, str]] = []
-    if width <= caps.vimw_cap:
-        candidates.append((width, 0, "vimw"))
-    if f <= caps.fen_cap:
-        candidates.append((f, 2, "fen"))
+    if vimw.vimw_width(g) <= caps.vimw_cap:
+        return "vimw", tfvs_set
+    from . import fen
+
+    if len(fen.feedback_edge_set(static)) <= caps.fen_cap:
+        return "fen", tfvs_set
+    if tfvs_set is not None:
+        return "tfvs", tfvs_set
+    from . import tfvs
+
     try:
-        if tfvs_set is None:
-            tfvs_set = tfvs.compute_timed_fvs(g, budget=min(caps.tfvs_cap, width, f))
-        candidates.append((len(tfvs_set), 1, "tfvs"))
+        return "tfvs", tfvs.compute_timed_fvs(g, budget=caps.tfvs_cap)
     except BudgetExceededError:
-        pass
-    if not candidates:
-        return "oracle", tfvs_set
-    _, _, chosen = min(candidates)
-    return chosen, tfvs_set
+        return "oracle", None
 
 
 def dispatch_count(
@@ -84,6 +88,8 @@ def dispatch_count(
     if algo == "auto":
         algo, tfvs_set = select_algorithm(g, caps, tfvs_set)
     if algo == "oracle":
+        from . import oracle
+
         try:
             return oracle.count_paths_bf(g, s, z, caps.oracle_limit)
         except EnumerationLimitError:
@@ -92,11 +98,19 @@ def dispatch_count(
                 "instance is too large for brute force"
             ) from None
     if algo == "forest":
+        from . import forest
+
         return forest.count_forest(g, s, z)
     if algo == "vimw":
+        from . import vimw
+
         return vimw.count_vimw(g, s, z)
     if algo == "tfvs":
+        from . import tfvs
+
         return tfvs.count_tfvs(g, s, z, tfvs=tfvs_set)
     if algo == "fen":
+        from . import fen
+
         return fen.count_fen(g, s, z)
     raise ValueError(f"unknown algorithm {algo!r}")

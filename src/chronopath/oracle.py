@@ -10,11 +10,13 @@ obviously correct.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import EnumerationLimitError
 from .graph import TemporalGraph, TemporalPath
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_ENUMERATION_LIMIT = 10**6
 
@@ -116,6 +118,8 @@ def betweenness_bf(g: TemporalGraph, v: int, star: str) -> Fraction:
     that are temporally connected, where sigma counts *-optimal paths and
     sigma(v) those among them visiting v.
     """
+    from fractions import Fraction
+
     total = Fraction(0)
     for s in range(g.n):
         for z in range(g.n):

@@ -418,6 +418,8 @@ def test_criterion_9_performance_shape():
     vimw_elapsed = time.perf_counter() - start
     assert vimw_elapsed < 30.0
 
+    # The scaling check times this process's CPU, so other processes on the
+    # same cores cannot stretch it.
     timings = {}
     gc.disable()
     try:
@@ -425,9 +427,9 @@ def test_criterion_9_performance_shape():
             chain = width_bounded_chain(t)
             best = float("inf")
             for _ in range(3):
-                tick = time.perf_counter()
+                tick = time.process_time()
                 count_vimw(chain, 0, t)
-                best = min(best, time.perf_counter() - tick)
+                best = min(best, time.process_time() - tick)
             timings[t] = best
     finally:
         gc.enable()

@@ -36,7 +36,7 @@ def test_count_subcommand_all_algorithms():
 def test_count_json_output():
     code, out, _ = run_cli(["count", "-s", "0", "-z", "2", "--format", "json"], I5_TEXT)
     assert code == 0
-    assert json.loads(out) == {"count": "2", "algo": "tfvs"}
+    assert json.loads(out) == {"count": "2", "algo": "vimw"}
     code, out, _ = run_cli(
         ["count", "-s", "0", "-z", "2", "--algo", "fen", "--format", "json"], I5_TEXT
     )
@@ -231,7 +231,7 @@ def test_dispatch_selection_is_parameter_driven():
     forest = make_graph(3, [(0, 1, 1), (1, 2, 2)])
     assert select_algorithm(forest)[0] == "forest"
 
-    # Staggered diamonds: narrow bags but many cycles, so the width wins.
+    # Staggered diamonds: width 4 under its cap wins over f = 6.
     edges = []
     corner, nxt = 0, 1
     for i in range(1, 7):
@@ -242,13 +242,51 @@ def test_dispatch_selection_is_parameter_driven():
     staggered = make_graph(nxt, edges)
     assert select_algorithm(staggered)[0] == "vimw"
 
-    # One cycle: the single feedback appearance beats width and ties fen.
+    # One cycle: width 3 under its cap wins over f = 1 and |X| = 1.
     cycle = make_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 4)])
-    assert select_algorithm(cycle)[0] == "tfvs"
+    assert select_algorithm(cycle) == ("vimw", None)
+    # Width over its cap and f under its cap: fen.
+    assert select_algorithm(cycle, DispatchCaps(vimw_cap=2))[0] == "fen"
+    # Both over their caps: the timed-FVS search, then the oracle.
+    both_over = DispatchCaps(vimw_cap=2, fen_cap=0)
+    assert select_algorithm(cycle, both_over) == ("tfvs", frozenset({(0, 1)}))
+    assert select_algorithm(cycle, both_over._replace(tfvs_cap=0)) == ("oracle", None)
 
-    # A supplied timed FVS enters the comparison as-is.
-    chosen, kept = select_algorithm(cycle, tfvs_set=frozenset({(0, 4)}))
-    assert chosen == "tfvs" and kept == frozenset({(0, 4)})
+    # A supplied timed FVS is used only when vimw and fen are both over
+    # their caps, and then as-is, in place of the search.
+    supplied = frozenset({(0, 4)})
+    assert select_algorithm(cycle, tfvs_set=supplied) == ("vimw", supplied)
+    assert select_algorithm(cycle, DispatchCaps(vimw_cap=2), supplied)[0] == "fen"
+    assert select_algorithm(cycle, both_over._replace(tfvs_cap=0), supplied) == (
+        "tfvs", supplied,
+    )
+
+
+def test_dispatch_searches_timed_fvs_only_when_vimw_and_fen_do_not_fit(rng, monkeypatch):
+    from chronopath import fen, tfvs
+    from chronopath.dispatch import select_algorithm
+    from chronopath.graph import underlying_graph
+    from chronopath.vimw import vimw_width
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("timed-FVS search although vimw or fen fits")
+
+    searched = 0
+    for _ in range(120):
+        g = random_instance(rng, n_lo=4, n_hi=9, m_hi=18)
+        caps = DispatchCaps(vimw_cap=rng.randint(0, 8), fen_cap=rng.randint(0, 6))
+        static = underlying_graph(g)
+        fits = static.is_forest or (
+            vimw_width(g) <= caps.vimw_cap
+            or len(fen.feedback_edge_set(static)) <= caps.fen_cap
+        )
+        with monkeypatch.context() as m:
+            if fits:
+                m.setattr(tfvs, "compute_timed_fvs", no_search)
+            engine, _ = select_algorithm(g, caps)
+        assert (engine in ("tfvs", "oracle")) == (not fits), engine
+        searched += not fits
+    assert searched  # the panel reaches the search, too
 
 
 def test_count_optimal_subcommand():

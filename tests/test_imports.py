@@ -48,6 +48,26 @@ def test_cli_startup_imports_only_what_it_runs():
     assert not count_optimal & NOT_AT_STARTUP, sorted(count_optimal & NOT_AT_STARTUP)
 
 
+ENGINES = {f"chronopath.{name}" for name in ("forest", "vimw", "fen", "tfvs", "chordal", "oracle")}
+
+
+def test_version_loads_no_engine():
+    version = _imported(["-m", "chronopath.cli", "--version"])
+    assert not version & ENGINES, sorted(version & ENGINES)
+
+
+def test_vimw_routed_run_loads_no_other_engine():
+    # I5 (a triangle) has width 3, so auto runs vimw; a cut that is a forest
+    # may also run the forest DP.
+    vimw_routed = _imported(
+        ["-m", "chronopath.cli", "count-optimal", "-s", "0", "-z", "2", "--star", "foremost"],
+        "0 1 1\n1 2 2\n0 2 3\n",
+    )
+    assert "chronopath.vimw" in vimw_routed
+    unused = vimw_routed & (ENGINES - {"chronopath.vimw", "chronopath.forest"})
+    assert not unused, sorted(unused)
+
+
 def test_lazy_exports():
     for name in chronopath.__all__:
         module = importlib.import_module(f"chronopath.{chronopath._EXPORTS[name]}")

@@ -63,13 +63,14 @@ def test_all_engines_on_wide_diamond():
     assert count_tfvs(small, 0, small.n - 1) == 2**6
 
 
-# (random_temporal_graph arguments, caps, engine chosen for the whole graph).
+# (random_temporal_graph arguments, caps, engine chosen for the whole graph):
+# one row per engine.  Width 9 is over the vimw cap and f = 8 is not, so
+# fen runs; the tfvs and oracle rows tighten the caps that would come first.
 BOUND_PANEL = [
     ((8, 10, 10, 12), DispatchCaps(), "forest"),
     ((9, 20, 20, 3), DispatchCaps(), "vimw"),
-    ((8, 14, 10, 3), DispatchCaps(), "fen"),
-    ((8, 14, 10, 1), DispatchCaps(), "tfvs"),
-    ((10, 16, 12, 2), DispatchCaps(), "tfvs"),
+    ((9, 20, 20, 1), DispatchCaps(), "fen"),
+    ((10, 16, 12, 2), DispatchCaps(vimw_cap=7, fen_cap=5), "tfvs"),
     # Only the oracle is left for the whole graph, and some foremost windows
     # hold more than 5 paths: the bound counter routes those on their own.
     ((8, 14, 10, 7), DispatchCaps(vimw_cap=6, tfvs_cap=0, fen_cap=0, oracle_limit=5), "oracle"),
