@@ -5,12 +5,17 @@ each colour 1..k, of the product of the vertex weights of X.  This is the
 engine behind the timed-feedback-vertex-set path counter; on its own it is
 FPT in the number of colours.
 
-The dynamic program runs bottom-up over a normalized clique tree: every
-bag induces a clique (so an independent set meets a bag in at most one
-vertex), and every bag is a leaf, has one child, or has exactly two
-children with identical vertex content.  Join bags combine colour subsets
-by enumerating submask splits, dividing out the doubly-counted weight of
-the shared selected vertex; that division is always exact and checked so.
+The dynamic program runs bottom-up over the clique tree that a perfect
+elimination ordering gives directly (Blair & Peyton 1993): vertex v gets the
+bag {v} plus its later neighbours, a clique, and hangs under the earliest of
+them; one empty root holds the components.  A child's bag minus its own
+vertex lies inside its parent's bag, so every vertex's bags form a subtree
+and an independent set meets a bag in at most one vertex.  Each child table
+is lifted into its parent's bag, introducing the parent's other vertices
+with their weights multiplied in, and the children of one bag are joined
+over colour subsets.  A vertex selected in both halves of a join had its
+weight multiplied in twice, so each join divides it out once; that division
+is always exact and checked so.
 """
 
 from __future__ import annotations
@@ -41,13 +46,13 @@ class ChordalInstance(_ChordalInstanceFields):
 
 
 class CliqueTreeNode:
-    """Bag of a normalized clique tree (leaf / chain / binary join)."""
+    """Bag of a clique tree: a clique of the graph and the bags hung under it."""
 
     __slots__ = ("bag", "children")
 
-    def __init__(self, bag: frozenset[int], children: list[CliqueTreeNode] | None = None):
+    def __init__(self, bag: frozenset[int]):
         self.bag = bag
-        self.children = [] if children is None else children
+        self.children: list[CliqueTreeNode] = []
 
 
 def maximum_cardinality_search(n: int, adj: dict[int, set[int]]) -> list[int]:
@@ -65,150 +70,119 @@ def maximum_cardinality_search(n: int, adj: dict[int, set[int]]) -> list[int]:
     return order
 
 
-def _check_peo(n: int, adj: dict[int, set[int]], elimination: list[int]) -> None:
-    pos = {v: i for i, v in enumerate(elimination)}
-    for v in elimination:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
+def build_clique_tree(instance: ChordalInstance) -> CliqueTreeNode:
+    """Clique tree read off a perfect elimination ordering; NotChordalError otherwise.
+
+    The ordering is the reverse of a maximum cardinality search.  Vertex v
+    gets the bag {v} plus its later neighbours and hangs under the earliest
+    of them, its pivot; a vertex without later neighbours hangs under the
+    empty root bag, which so holds one subtree per component.  The ordering
+    is perfect iff every later neighbour of v is the pivot or adjacent to
+    it.  That check runs while the tree is built, in search order, so the
+    chordless cycle a NotChordalError names is the first one met there.
+    """
+    n, adj = instance.n, instance.adj
+    root = CliqueTreeNode(bag=frozenset())
+    rank: dict[int, int] = {}
+    nodes: dict[int, CliqueTreeNode] = {}
+    # In search order a vertex's later neighbours are the ones already seen,
+    # so its pivot (the last of them seen) already has a node.
+    for i, v in enumerate(maximum_cardinality_search(n, adj)):
+        later = [u for u in adj[v] if u in rank]
+        rank[v] = i
+        nodes[v] = CliqueTreeNode(bag=frozenset((v, *later)))
         if not later:
+            root.children.append(nodes[v])
             continue
-        pivot = min(later, key=lambda u: pos[u])
+        pivot = max(later, key=rank.__getitem__)
         for u in later:
             if u != pivot and u not in adj[pivot]:
                 raise NotChordalError(
                     f"vertices {u} and {pivot} witness a chordless cycle through {v}"
                 )
-
-
-def _maximal_cliques(n: int, adj: dict[int, set[int]], elimination: list[int]) -> list[frozenset[int]]:
-    pos = {v: i for i, v in enumerate(elimination)}
-    candidates = []
-    for v in elimination:
-        clique = frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]})
-        candidates.append(clique)
-    candidates.sort(key=len, reverse=True)
-    maximal: list[frozenset[int]] = []
-    for c in candidates:
-        if not any(c < m or c == m for m in maximal):
-            maximal.append(c)
-    return maximal
-
-
-def build_clique_tree(instance: ChordalInstance) -> CliqueTreeNode:
-    """Normalized clique tree of a chordal graph; raises NotChordalError otherwise.
-
-    Maximal cliques are linked by a maximum-intersection spanning tree
-    (which yields the clique-intersection property), components are capped
-    by empty bags, and multi-child nodes are rewritten into binary joins
-    whose two children repeat the parent bag.
-    """
-    n, adj = instance.n, instance.adj
-    visit = maximum_cardinality_search(n, adj)
-    elimination = list(reversed(visit))
-    _check_peo(n, adj, elimination)
-    cliques = _maximal_cliques(n, adj, elimination)
-    if not cliques:
-        return CliqueTreeNode(bag=frozenset())
-
-    # Maximum-weight spanning forest on clique intersections (Prim per component).
-    m = len(cliques)
-    in_tree = [False] * m
-    tree_children: dict[int, list[int]] = {i: [] for i in range(m)}
-    roots: list[int] = []
-    for start in range(m):
-        if in_tree[start]:
-            continue
-        in_tree[start] = True
-        roots.append(start)
-        frontier = [start]
-        while True:
-            best_edge: tuple[int, int, int] | None = None  # (overlap, parent, child)
-            for i in frontier:
-                for j in range(m):
-                    if in_tree[j]:
-                        continue
-                    overlap = len(cliques[i] & cliques[j])
-                    if overlap == 0:
-                        continue
-                    cand = (overlap, i, j)
-                    if best_edge is None or cand > best_edge:
-                        best_edge = cand
-            if best_edge is None:
-                break
-            _, parent, child = best_edge
-            in_tree[child] = True
-            tree_children[parent].append(child)
-            frontier.append(child)
-
-    def build(i: int) -> CliqueTreeNode:
-        node = CliqueTreeNode(bag=cliques[i])
-        for j in tree_children[i]:
-            node.children.append(build(j))
-        return node
-
-    # Cap each component with an empty bag, then join the caps pairwise so
-    # the final structure is one rooted tree.
-    capped = [CliqueTreeNode(bag=frozenset(), children=[build(r)]) for r in roots]
-    root = capped[0]
-    for nxt in capped[1:]:
-        root = CliqueTreeNode(bag=frozenset(), children=[root, nxt])
-    return _binarize(root)
-
-
-def _binarize(node: CliqueTreeNode) -> CliqueTreeNode:
-    children = [_binarize(c) for c in node.children]
-    if len(children) <= 1:
-        return CliqueTreeNode(bag=node.bag, children=children)
-    # Fold k children into a right-leaning spine of join nodes; every join
-    # has two children carrying the same bag as the join itself.
-    spine = CliqueTreeNode(bag=node.bag, children=[children[-1]])
-    for child in reversed(children[:-1]):
-        left = CliqueTreeNode(bag=node.bag, children=[child])
-        spine = CliqueTreeNode(bag=node.bag, children=[left, spine])
-    return spine
+        nodes[pivot].children.append(nodes[v])
+    return root
 
 
 def _verify_clique_tree(instance: ChordalInstance, root: CliqueTreeNode) -> None:
     """Check the clique-tree invariants (used by tests)."""
-    nodes: list[CliqueTreeNode] = []
-
-    def collect(nd: CliqueTreeNode) -> None:
-        nodes.append(nd)
+    parent: dict[int, CliqueTreeNode] = {}
+    nodes = [root]
+    for nd in nodes:
         for c in nd.children:
-            collect(c)
-
-    collect(root)
+            parent[id(c)] = nd
+            nodes.append(c)
     for nd in nodes:
         members = sorted(nd.bag)
         for i, u in enumerate(members):
             for v in members[i + 1 :]:
                 if v not in instance.adj[u]:
                     raise AssertionError(f"bag {members} is not a clique")
-        if len(nd.children) > 2:
-            raise AssertionError("node with more than two children")
-        if len(nd.children) == 2 and not (
-            nd.bag == nd.children[0].bag == nd.children[1].bag
-        ):
-            raise AssertionError("binary join without identical bags")
     for v in range(instance.n):
         holding = [nd for nd in nodes if v in nd.bag]
         if instance.weight[v] > 0 and not holding:
             raise AssertionError(f"vertex {v} missing from every bag")
-        # Connectivity of the subtree of bags containing v.
-        seen: set[int] = set()
-
-        def walk(nd: CliqueTreeNode, inside: bool) -> None:
-            here = v in nd.bag
-            if here and inside is False and seen:
-                raise AssertionError(f"bags containing {v} are disconnected")
-            if here:
-                seen.add(id(nd))
-            for c in nd.children:
-                walk(c, here)
-
-        walk(root, False)
+        # Bags of a rooted tree are connected iff at most one of them has a
+        # parent outside the set.
+        tops = [nd for nd in holding if id(nd) not in parent or v not in parent[id(nd)].bag]
+        if len(tops) > 1:
+            raise AssertionError(f"bags containing {v} are disconnected")
     for u, v in instance.edges:
         if not any(u in nd.bag and v in nd.bag for nd in nodes):
             raise AssertionError(f"edge ({u},{v}) covered by no bag")
+
+
+# DP table: (colour mask, selected bag vertex or -1) -> weighted sum.
+Table = dict[tuple[int, int], int]
+
+
+def _lift(
+    table: Table,
+    child_bag: frozenset[int],
+    bag: frozenset[int],
+    weight: tuple[int, ...],
+    bit: list[int],
+) -> Table:
+    """Carry a child's table into its parent's bag (chain step)."""
+    out: Table = {}
+    # Sets selecting no vertex of the parent bag, by colour mask; a selection
+    # dropped below the parent folds into these.
+    free: dict[int, int] = {}
+    for (mask, sel), value in table.items():
+        if sel != -1 and sel in bag:
+            out[(mask, sel)] = value
+        else:
+            free[mask] = free.get(mask, 0) + value
+    for mask, value in free.items():
+        out[(mask, -1)] = value
+    # Vertices new to this bag can be selected only by sets that avoid it.
+    for v in bag - child_bag:
+        cb = bit[v]
+        for mask, value in free.items():
+            if not mask & cb:
+                out[(mask | cb, v)] = weight[v] * value
+    return out
+
+
+def _join(left: Table, right: Table, weight: tuple[int, ...], bit: list[int]) -> Table:
+    """Combine two tables over the same bag, dividing out a shared selection."""
+    by_sel: dict[int, list[tuple[int, int]]] = {}
+    for (mask, sel), value in right.items():
+        by_sel.setdefault(sel, []).append((mask, value))
+    out: Table = {}
+    for (m1, sel), v1 in left.items():
+        shared = 0 if sel == -1 else bit[sel]
+        for m2, v2 in by_sel.get(sel, ()):
+            if m1 & m2 != shared:
+                continue
+            prod = v1 * v2
+            if sel != -1:
+                if prod % weight[sel]:
+                    raise InvariantError("join division is not exact")
+                prod //= weight[sel]
+            key = (m1 | m2, sel)
+            out[key] = out.get(key, 0) + prod
+    return out
 
 
 def count_weighted_mc_is(
@@ -240,80 +214,31 @@ def count_weighted_mc_is(
         )
 
     root = build_clique_tree(instance)
-    full = (1 << k) - 1
+    weight = instance.weight
+    bit = [1 << (c - 1) for c in instance.colour]
+    # Reversed breadth-first order puts every child before its parent.
+    order = [root]
+    for node in order:
+        order.extend(node.children)
+    tables: dict[int, Table] = {}
     entries = 0
-    bag_count = 0
-    max_bag = 0
-
-    def colour_bit(v: int) -> int:
-        return 1 << (instance.colour[v] - 1)
-
-    def solve(node: CliqueTreeNode) -> dict[tuple[int, int], int]:
-        """Table mapping (colour mask, selected vertex or -1) -> weighted sum."""
-        nonlocal entries, bag_count, max_bag
-        bag_count += 1
-        max_bag = max(max_bag, len(node.bag))
-        table: dict[tuple[int, int], int] = {}
-        if not node.children:
-            table[(0, -1)] = 1
-            for v in node.bag:
-                table[(colour_bit(v), v)] = instance.weight[v]
-        elif len(node.children) == 1:
-            sub = solve(node.children[0])
-            child_bag = node.children[0].bag
-            # Selections surviving from the child: vertex still in this bag,
-            # or dropped below (folded into the "no selected vertex" row).
-            for (mask, sel), value in sub.items():
-                key = (mask, sel if sel != -1 and sel in node.bag else -1)
-                table[key] = table.get(key, 0) + value
-            # Fresh vertices of this bag extend child sets that avoid the bag.
-            by_mask: dict[int, int] = {}
-            for (mask, sel), value in sub.items():
-                if sel == -1 or sel not in node.bag:
-                    by_mask[mask] = by_mask.get(mask, 0) + value
-            for v in node.bag:
-                if v in child_bag:
-                    continue
-                cb = colour_bit(v)
-                for mask, value in by_mask.items():
-                    if mask & cb:
-                        continue
-                    key = (mask | cb, v)
-                    table[key] = table.get(key, 0) + instance.weight[v] * value
-        else:
-            left = solve(node.children[0])
-            right = solve(node.children[1])
-            for (m1, sel1), val1 in left.items():
-                for (m2, sel2), val2 in right.items():
-                    if sel1 != sel2:
-                        continue
-                    if sel1 == -1:
-                        if m1 & m2:
-                            continue
-                        key = (m1 | m2, -1)
-                        table[key] = table.get(key, 0) + val1 * val2
-                    else:
-                        cb = colour_bit(sel1)
-                        if (m1 & m2) != cb:
-                            continue
-                        prod = val1 * val2
-                        w = instance.weight[sel1]
-                        if prod % w:
-                            raise InvariantError("join division is not exact")
-                        key = (m1 | m2, sel1)
-                        table[key] = table.get(key, 0) + prod // w
+    for node in reversed(order):
+        table = None
+        for child in node.children:
+            lifted = _lift(tables.pop(id(child)), child.bag, node.bag, weight, bit)
+            table = lifted if table is None else _join(table, lifted, weight, bit)
+        if table is None:  # a leaf: its bag lifted over the empty set's table
+            table = _lift({(0, -1): 1}, frozenset(), node.bag, weight, bit)
+        tables[id(node)] = table
         entries += len(table)
-        return table
 
-    root_table = solve(root)
-    answer = sum(
-        value for (mask, _sel), value in root_table.items() if mask == full
-    )
+    full = (1 << k) - 1
+    answer = sum(value for (mask, _sel), value in tables[id(root)].items() if mask == full)
     if stats is not None:
         stats["entries"] = entries
         stats["colours"] = k
-        stats["bags"] = bag_count
-        stats["max_bag"] = max_bag
+        stats["bags"] = len(order)
+        stats["max_bag"] = max(len(node.bag) for node in order)
     return answer
 
 

@@ -29,21 +29,26 @@ def iter_paths(g: TemporalGraph, s: int, z: int) -> Iterator[TemporalPath]:
 
     steps: list[tuple[int, int, int]] = []
     visited = {s}
-
-    def extend(cur: int, min_label: int) -> Iterator[TemporalPath]:
-        for w, t in g.incident[cur]:
+    # Depth-first with an explicit stack of (vertex, its unscanned incident
+    # edges, least usable label), so path length is not bound by recursion.
+    frames = [(s, iter(g.incident[s]), 1)]
+    while frames:
+        cur, edges, min_label = frames[-1]
+        for w, t in edges:
             if t < min_label or w in visited:
                 continue
             steps.append((cur, w, t))
             if w == z:
                 yield TemporalPath(source=s, steps=tuple(steps))
-            else:
-                visited.add(w)
-                yield from extend(w, t)
-                visited.remove(w)
-            steps.pop()
-
-    yield from extend(s, 1)
+                steps.pop()
+                continue
+            visited.add(w)
+            frames.append((w, iter(g.incident[w]), t))
+            break
+        else:
+            frames.pop()
+            if steps:
+                visited.remove(steps.pop()[1])
 
 
 def _over_limit(limit: int, s: int, z: int) -> EnumerationLimitError:

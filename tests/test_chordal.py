@@ -100,11 +100,45 @@ def test_against_bruteforce_random():
         assert count_weighted_mc_is(inst, k) == count_mc_is_bruteforce(inst, k)
 
 
+def disjoint_union(a: ChordalInstance, b: ChordalInstance) -> ChordalInstance:
+    return ChordalInstance(
+        n=a.n + b.n,
+        edges=a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges),
+        colour=a.colour + b.colour,
+        weight=a.weight + b.weight,
+    )
+
+
 def test_clique_tree_invariants():
     rng = random.Random(7)
     for _ in range(40):
         inst = random_interval_instance(rng, rng.randint(1, 10), 2)
         _verify_clique_tree(inst, build_clique_tree(inst))
+    for _ in range(40):
+        inst = random_ktree_instance(rng, rng.randint(1, 12), 2)
+        _verify_clique_tree(inst, build_clique_tree(inst))
+    for _ in range(20):
+        inst = disjoint_union(
+            random_interval_instance(rng, rng.randint(1, 8), 2),
+            random_interval_instance(rng, rng.randint(1, 8), 2),
+        )
+        tree = build_clique_tree(inst)
+        assert len(tree.children) >= 2
+        _verify_clique_tree(inst, tree)
+        assert count_weighted_mc_is(inst, 2) == count_mc_is_bruteforce(inst, 2)
+
+
+def test_long_path_no_recursion_limit():
+    """A 1,500-vertex path is an elimination tree 1,500 bags deep."""
+    n = 1500
+    edges = tuple((i, i + 1) for i in range(n - 1))
+    single = ChordalInstance(n=n, edges=edges, colour=(1,) * n, weight=(1,) * n)
+    assert count_weighted_mc_is(single, 1) == n
+    alternating = ChordalInstance(
+        n=n, edges=edges, colour=tuple(1 + i % 2 for i in range(n)), weight=(1,) * n
+    )
+    # 750 x 750 colour-1/colour-2 pairs, less the 1,499 adjacent ones.
+    assert count_weighted_mc_is(alternating, 2) == 750**2 - 1499
 
 
 def test_entry_bound():

@@ -33,6 +33,17 @@ def test_count_subcommand_all_algorithms():
         assert out.strip() == "2"
 
 
+def test_count_oracle_on_long_path():
+    """The oracle enumerates a 1,500-step path without hitting the recursion limit."""
+    from chronopath.generate import width_bounded_chain
+    from chronopath.graph import to_text
+
+    text = to_text(width_bounded_chain(1500, width3=False))
+    code, out, err = run_cli(["count", "-s", "0", "-z", "1500", "--algo", "oracle"], text)
+    assert code == 0, err
+    assert out == "1\n"
+
+
 def test_count_json_output():
     code, out, _ = run_cli(["count", "-s", "0", "-z", "2", "--format", "json"], I5_TEXT)
     assert code == 0

@@ -11,7 +11,7 @@ from chronopath.oracle import (
     enumerate_paths,
     sigma_accessor_bf,
 )
-from chronopath.generate import diamond_chain
+from chronopath.generate import diamond_chain, width_bounded_chain
 
 from conftest import I1, I2, I4, I5, random_instance
 
@@ -40,6 +40,12 @@ def test_count_examples():
     assert count_paths_bf(I5, 0, 2) == 2
     assert count_paths_bf(I1, 0, 0) == 1
     assert count_paths_bf(I2, 0, 2) == 0
+
+
+def test_count_long_path():
+    """A 1,500-step temporal path is deeper than Python's recursion limit."""
+    g = width_bounded_chain(1500, width3=False)
+    assert count_paths_bf(g, 0, 1500) == 1
 
 
 def test_count_optimal_examples():
