@@ -21,6 +21,7 @@ is always exact and checked so.
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import InvariantError, NotChordalError
@@ -60,13 +61,18 @@ def maximum_cardinality_search(n: int, adj: dict[int, set[int]]) -> list[int]:
     weight = [0] * n
     visited = [False] * n
     order: list[int] = []
-    for _ in range(n):
-        best = max((v for v in range(n) if not visited[v]), key=lambda v: (weight[v], -v))
+    # Highest weight first, then the smallest vertex; stale entries are skipped.
+    heap = [(0, v) for v in range(n)]
+    while heap:
+        negative, best = heappop(heap)
+        if -negative != weight[best]:
+            continue
         visited[best] = True
         order.append(best)
         for w in adj[best]:
             if not visited[w]:
                 weight[w] += 1
+                heappush(heap, (-weight[w], w))
     return order
 
 

@@ -4,19 +4,25 @@ After exhaustively pruning degree-<=1 vertices (which no (s,z)-path can
 use), the underlying graph is a spanning forest plus f extra edges.  The
 forest decomposes into few maximal degree-2 paths, so every static s-z
 path is a short sequence of "links" (feedback edges and maximal paths) in
-a condensed multigraph.  We enumerate those sequences and count, per
-sequence, the temporal realizations along the expanded static path with
-the forest DP.  The enumeration is capped at c * 8^f * (f+2)! sequences,
-which the corpus instances stay well under.
+a condensed multigraph.  A walk over links carries its prefix's step
+function (the forest DP's :func:`advance`) from terminal to terminal.  The
+number of ways to finish at z depends only on the terminal, that step
+function and the region of terminals still reachable through unvisited
+ones, so each such state is expanded once and its completions are shared
+by every prefix that reaches it; a region without z finishes nothing.  At
+most c * 8^f * (f+2)! states are expanded, which the corpus instances stay
+well under.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from typing import NamedTuple
 
 from .errors import EnumerationLimitError
 from .forest import advance
 from .graph import StaticGraph, TemporalGraph, _keep_edges, underlying_graph
+from .graph import region_mask, sum_walk_states
 
 SEQUENCE_CAP_CONSTANT = 64
 
@@ -28,11 +34,8 @@ def prune_degree_one(g: TemporalGraph, s: int, z: int) -> TemporalGraph:
     z together with their time-edges; the vertex set itself (and all dense
     ids) stay untouched, such vertices just become isolated.
     """
-    degree = [0] * g.n
-    static = underlying_graph(g)
-    adj = {v: set(ws) for v, ws in static.adj.items()}
-    for v in range(g.n):
-        degree[v] = len(adj[v])
+    adj = underlying_graph(g).adj
+    degree = [len(adj[v]) for v in range(g.n)]
     removed = [False] * g.n
     queue = [v for v in range(g.n) if degree[v] <= 1 and v not in (s, z)]
     while queue:
@@ -41,11 +44,10 @@ def prune_degree_one(g: TemporalGraph, s: int, z: int) -> TemporalGraph:
             continue
         removed[v] = True
         for w in adj[v]:
-            if removed[w]:
-                continue
-            degree[w] -= 1
-            if degree[w] <= 1 and w not in (s, z):
-                queue.append(w)
+            if not removed[w]:
+                degree[w] -= 1
+                if degree[w] <= 1 and w not in (s, z):
+                    queue.append(w)
     return _keep_edges(g, [e for e in g.time_edges if not removed[e[0]] and not removed[e[1]]])
 
 
@@ -74,6 +76,7 @@ class CondensedGraph(NamedTuple):
 
     terminals: frozenset[int]
     links: tuple[tuple[int, ...], ...]  # vertex sequences, endpoints are terminals
+    feedback: frozenset[tuple[int, int]]
 
 
 def condense(g: TemporalGraph, s: int, z: int) -> CondensedGraph:
@@ -86,13 +89,8 @@ def condense(g: TemporalGraph, s: int, z: int) -> CondensedGraph:
             continue
         forest_adj[u].append(v)
         forest_adj[v].append(u)
-    terminals = {s, z}
-    for u, v in feedback:
-        terminals.add(u)
-        terminals.add(v)
-    for v in range(static.n):
-        if static.degree(v) >= 3:
-            terminals.add(v)
+    terminals = {s, z, *(x for edge in feedback for x in edge)}
+    terminals.update(v for v in range(static.n) if static.degree(v) >= 3)
 
     links: list[tuple[int, ...]] = [(u, v) for u, v in sorted(feedback)]
     seen_edges: set[tuple[int, int]] = set()
@@ -112,14 +110,12 @@ def condense(g: TemporalGraph, s: int, z: int) -> CondensedGraph:
                 seen_edges.add((min(cur, nxts[0]), max(cur, nxts[0])))
             if path[-1] in terminals:
                 links.append(tuple(path))
-    return CondensedGraph(terminals=frozenset(terminals), links=tuple(links))
+    return CondensedGraph(frozenset(terminals), tuple(links), feedback)
 
 
 def _sequence_cap(f: int) -> int:
-    cap = SEQUENCE_CAP_CONSTANT * (8**f)
-    for i in range(2, f + 3):
-        cap *= i
-    return cap
+    """Most walk states count_fen expands: the distinct ones the memo misses."""
+    return SEQUENCE_CAP_CONSTANT * 8**f * factorial(f + 2)
 
 
 def count_fen(g: TemporalGraph, s: int, z: int) -> int:
@@ -130,43 +126,49 @@ def count_fen(g: TemporalGraph, s: int, z: int) -> int:
     if not pruned.time_edges:
         return 0
     condensed = condense(pruned, s, z)
-    f = len(feedback_edge_set(underlying_graph(pruned)))
+    f = len(condensed.feedback)
     cap = _sequence_cap(f)
 
-    # Per terminal, the links leaving it as (far end, label lists in walking
-    # order); each link's lists are built once, in both directions.
+    # Per terminal index, the links leaving it as (far end, label lists in
+    # walking order), each built once in both directions, and a neighbour mask.
+    index = {t: i for i, t in enumerate(sorted(condensed.terminals))}
     labels_by_edge = pruned.labels_by_edge
-    moves: dict[int, list[tuple[int, list[tuple[int, ...]]]]] = {
-        t: [] for t in condensed.terminals
-    }
+    moves: list[list[tuple[int, list[tuple[int, ...]]]]] = [[] for _ in index]
+    nbr = [0] * len(index)
     for link in condensed.links:
-        lists = [labels_by_edge[(a, b) if a < b else (b, a)] for a, b in zip(link, link[1:])]
-        moves[link[0]].append((link[-1], lists))
-        moves[link[-1]].append((link[0], lists[::-1]))
-
+        a, b = index[link[0]], index[link[-1]]
+        lists = [labels_by_edge[(u, v) if u < v else (v, u)] for u, v in zip(link, link[1:])]
+        moves[a].append((b, lists))
+        moves[b].append((a, lists[::-1]))
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    zi = index[z]
     explored = 0
-    total = 0
 
-    def walk(cur: int, fn, visited: set[int]) -> None:
-        nonlocal explored, total
+    # A state is (terminal, prefix step function, region of terminals still
+    # reachable through unvisited ones); a used link has both ends visited.
+    def expand(state):
+        nonlocal explored
         explored += 1
         if explored > cap:
             raise EnumerationLimitError(
                 f"condensed sequence enumeration exceeded cap {cap} (f={f})"
             )
-        if cur == z:
-            total += fn[1][-1]
-            return
-        # A used link has both ends visited, so the visited check covers it.
+        cur, times, values, region = state
+        children, base = [], 0
         for nxt, lists in moves[cur]:
-            if nxt in visited:
+            if not region >> nxt & 1:
                 continue
-            extended = advance(fn, lists)
-            if extended is None:
+            fn = advance((times, values), lists)
+            if fn is None:
                 continue
-            visited.add(nxt)
-            walk(nxt, extended, visited)
-            visited.remove(nxt)
+            if nxt == zi:
+                base += fn[1][-1]
+                continue
+            sub = region_mask(nbr, nxt, region & ~(1 << nxt))
+            if sub >> zi & 1:
+                children.append((nxt, tuple(fn[0]), tuple(fn[1]), sub))
+        return children, base
 
-    walk(s, ([1], [1]), {s})
-    return total
+    si = index[s]
+    return sum_walk_states((si, (1,), (1,), region_mask(nbr, si, ~(1 << si))), expand, {})

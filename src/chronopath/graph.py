@@ -407,3 +407,32 @@ def connectivity_matrix(g: TemporalGraph) -> list[list[bool]]:
         reach = _reach_from(g, s)
         matrix.append([reach[w] is not None for w in range(g.n)])
     return matrix
+
+
+
+def region_mask(nbr: list[int], start: int, allowed: int) -> int:
+    """Vertices in ``allowed`` that ``start`` reaches through it; ``nbr`` holds bit masks."""
+    seen, todo = 0, nbr[start] & allowed
+    while todo:
+        low = todo & -todo
+        seen |= low
+        todo = (todo | nbr[low.bit_length() - 1] & allowed) & ~seen
+    return seen
+
+
+def sum_walk_states(root, expand, memo: dict) -> int:
+    """Worth of ``root``: ``expand(state)`` gives ``(children, base)``, a state is worth
+    ``base`` plus its children's, and ``memo`` keeps each state's worth (no recursion)."""
+    if root in memo:
+        return memo[root]
+    stack = [(root, *expand(root))]
+    while stack:
+        state, children, base = stack[-1]
+        for child in children:
+            if child not in memo:
+                stack.append((child, *expand(child)))
+                break
+        else:
+            memo[state] = base + sum(memo[c] for c in children)
+            stack.pop()
+    return memo[root]

@@ -14,15 +14,21 @@ path inside the snapshot (V, E_t) starting at u.  The trivial segment
 sitting at s is always available as an initial segment, which is how
 paths departing s late are generated; it is injected rather than stored,
 so it is never double counted.
+
+Earlier snapshots keep full masks, as a bag vertex may be entered again at
+a later label.  In the last snapshot only arrivals at z count, and the ways
+to finish a simple path there depend only on its end vertex and the region
+of unvisited vertices it still reaches: they are counted once per (vertex,
+region) and multiplied into every carried state.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cached_property
 from typing import NamedTuple
 
-from .graph import TemporalGraph
+from .graph import TemporalGraph, region_mask, sum_walk_states
 
 
 class _VIMSequenceFields(NamedTuple):
@@ -38,10 +44,7 @@ class VIMSequence(_VIMSequenceFields):
 
     def histogram(self) -> dict[int, int]:
         """Bag size -> number of times steps with that size."""
-        hist: dict[int, int] = defaultdict(int)
-        for b in self.bags:
-            hist[len(b)] += 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(len(b) for b in self.bags).items()))
 
 
 def _edge_window(g: TemporalGraph) -> tuple[dict[int, int], dict[int, int]]:
@@ -88,12 +91,46 @@ def vimw_width(g: TemporalGraph) -> int:
     return width
 
 
+def _finish_at_z(snap, pos, starts, z: int) -> int:
+    """Paths from ``starts``, ((u, X), count) pairs, finished at z inside ``snap``.
+
+    u goes on by simple snapshot paths to z that avoid X, memoised per (u, region).
+    """
+    nbr = [0] * len(pos)
+    for u, v in snap:
+        nbr[pos[u]] |= 1 << pos[v]
+        nbr[pos[v]] |= 1 << pos[u]
+    zi = pos[z]
+
+    def enter(x: int, allowed: int):
+        region = 0 if x == zi else region_mask(nbr, x, allowed)
+        return (x, region) if x == zi or region >> zi & 1 else None
+
+    def expand(state):
+        w, region = state
+        children = []
+        rest = nbr[w] & region
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            child = enter(low.bit_length() - 1, region & ~low)
+            if child:
+                children.append(child)
+        return children, 0
+
+    memo = {(zi, 0): 1}
+    total = 0
+    for (u, y_mask), count in starts:
+        root = enter(pos[u], ~(y_mask | 1 << pos[u]))
+        if root:
+            total += count * sum_walk_states(root, expand, memo)
+    return total
+
+
 def count_vimw(g: TemporalGraph, s: int, z: int) -> int:
     """Number of temporal (s,z)-paths via the bag-state DP."""
     if s == z:
         return 1
-    if not g.time_edges:
-        return 0
     first, last = _edge_window(g)
     if z not in first:
         return 0
@@ -103,62 +140,42 @@ def count_vimw(g: TemporalGraph, s: int, z: int) -> int:
     edges_at = g.edges_at
     # States: (vertex, mask over the current bag's local indices) -> count.
     states: dict[tuple[int, int], int] = {}
-    prev_bag: list[int] = []
     prev_pos: dict[int, int] = {}
-    final_total = 0
 
     for t in range(1, horizon + 1):
-        bag = sorted(v for v in prev_pos if last[v] >= t)
-        bag_set = set(bag)
-        for u, v in edges_at.get(t, ()):
-            if u not in bag_set:
-                bag.append(u)
-                bag_set.add(u)
-            if v not in bag_set:
-                bag.append(v)
-                bag_set.add(v)
-        bag.sort()
-        pos = {v: i for i, v in enumerate(bag)}
-        final = t == horizon
+        bag = {v for v in prev_pos if last[v] >= t}
+        bag.update(x for edge in edges_at.get(t, ()) for x in edge)
+        pos = {v: i for i, v in enumerate(sorted(bag))}
 
         # Carry states over, remapping masks and dropping departed vertices.
         carried: dict[tuple[int, int], int] = {}
-        if states:
-            keep_bits = [
-                (1 << prev_pos[v], 1 << pos[v]) for v in prev_bag if v in pos
-            ]
-            for (v, mask), count in states.items():
-                if v not in pos:
-                    continue
-                new_mask = 0
-                for old_bit, new_bit in keep_bits:
-                    if mask & old_bit:
-                        new_mask |= new_bit
-                key = (v, new_mask)
-                carried[key] = carried.get(key, 0) + count
+        keep_bits = [(1 << prev_pos[v], 1 << pos[v]) for v in prev_pos if v in pos]
+        for (v, mask), count in states.items():
+            if v not in pos:
+                continue
+            new_mask = 0
+            for old_bit, new_bit in keep_bits:
+                if mask & old_bit:
+                    new_mask |= new_bit
+            key = (v, new_mask)
+            carried[key] = carried.get(key, 0) + count
 
+        # Initial segments: carried states, plus the trivial segment at s.
+        starts = [*carried.items(), ((s, 0), 1)] if s in pos else list(carried.items())
+        if t == horizon:
+            break
         snap = edges_at.get(t)
         if snap:
             adj: dict[int, list[int]] = defaultdict(list)
             for u, v in snap:
                 adj[u].append(v)
                 adj[v].append(u)
-            for v in adj:
-                adj[v].sort()
-
-            arrivals: dict[tuple[int, int], int] = {}
-            # Initial segments: carried states, plus the trivial segment at s.
-            initial: list[tuple[int, int, int]] = [
-                (u, y_mask, count) for (u, y_mask), count in carried.items()
-            ]
-            if s in adj:
-                initial.append((s, 0, 1))
-            for u, y_mask, count in initial:
+            for (u, y_mask), count in starts:
                 if u not in adj:
                     continue
                 # Stream all simple snapshot paths out of u with an explicit
-                # stack; on the last bag only the arrivals at z matter, so
-                # they collapse into a running total instead of states.
+                # stack; a bag vertex may be entered again at a later label,
+                # so every arrival keeps its full mask.
                 frames = [(1 << pos[u], iter(adj[u]))]
                 while frames:
                     mask, neighbours = frames[-1]
@@ -166,27 +183,12 @@ def count_vimw(g: TemporalGraph, s: int, z: int) -> int:
                         bit = 1 << pos[w]
                         if mask & bit or y_mask & bit:
                             continue
-                        new_mask = mask | bit
-                        if final:
-                            if w == z:
-                                final_total += count
-                        else:
-                            key = (w, (y_mask | new_mask) & ~bit)
-                            arrivals[key] = arrivals.get(key, 0) + count
-                        frames.append((new_mask, iter(adj[w])))
+                        key = (w, y_mask | mask)
+                        carried[key] = carried.get(key, 0) + count
+                        frames.append((mask | bit, iter(adj[w])))
                         break
                     else:
                         frames.pop()
-            for key, count in arrivals.items():
-                carried[key] = carried.get(key, 0) + count
-
-        if final:
-            final_total += sum(
-                count for (v, _mask), count in carried.items() if v == z
-            )
-            return final_total
         states = carried
-        prev_bag = bag
         prev_pos = pos
-
-    return final_total
+    return _finish_at_z(edges_at[horizon], pos, starts, z)

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from chronopath.chordal import (
     build_clique_tree,
     count_mc_is_bruteforce,
     count_weighted_mc_is,
+    maximum_cardinality_search,
 )
 from chronopath.errors import NotChordalError
 
@@ -139,6 +142,46 @@ def test_long_path_no_recursion_limit():
     )
     # 750 x 750 colour-1/colour-2 pairs, less the 1,499 adjacent ones.
     assert count_weighted_mc_is(alternating, 2) == 750**2 - 1499
+
+
+def test_search_order_matches_the_max_rule():
+    """The lazy heap visits in the order of a max over (weight, -vertex)."""
+
+    def max_rule(n, adj):
+        weight, visited, order = [0] * n, [False] * n, []
+        for _ in range(n):
+            best = max((v for v in range(n) if not visited[v]), key=lambda v: (weight[v], -v))
+            visited[best] = True
+            order.append(best)
+            for w in adj[best]:
+                if not visited[w]:
+                    weight[w] += 1
+        return order
+
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        adj = {v: set() for v in range(n)}
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        assert maximum_cardinality_search(n, adj) == max_rule(n, adj)
+
+
+def test_long_path_search_is_not_quadratic():
+    """A 20,000-vertex path counts in well under the quadratic search's ~50 s."""
+    script = (
+        "from chronopath.chordal import ChordalInstance, count_weighted_mc_is\n"
+        "n = 20000\n"
+        "edges = tuple((i, i + 1) for i in range(n - 1))\n"
+        "inst = ChordalInstance(n=n, edges=edges, colour=(1,) * n, weight=(1,) * n)\n"
+        "print(count_weighted_mc_is(inst, 1))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"20000\n"
 
 
 def test_entry_bound():

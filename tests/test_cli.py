@@ -44,6 +44,21 @@ def test_count_oracle_on_long_path():
     assert out == "1\n"
 
 
+def test_forced_engines_count_long_diamonds():
+    """vimw and fen count the 2^400 paths of a 400-diamond chain, 800 walk steps deep."""
+    code, text, _ = run_cli(["gen", "--kind", "diamond", "--length", "400"])
+    assert code == 0
+    for algo in ("vimw", "fen"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronopath.cli", "count", "-s", "0", "-z", "1200", "--algo", algo],
+            input=text.encode(),
+            capture_output=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == f"{2**400}\n", algo
+
+
 def test_count_json_output():
     code, out, _ = run_cli(["count", "-s", "0", "-z", "2", "--format", "json"], I5_TEXT)
     assert code == 0

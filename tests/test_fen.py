@@ -62,3 +62,17 @@ def test_against_oracle(rng):
         g = random_instance(rng, n_hi=10, t_hi=8, m_hi=18)
         s, z = rng.sample(range(g.n), 2)
         assert count_fen(g, s, z) == count_paths_bf(g, s, z), (g.time_edges, s, z)
+
+
+def test_count_finds_the_feedback_edges_once(rng, monkeypatch):
+    import chronopath.fen as fen
+
+    calls = []
+    real = fen.feedback_edge_set
+    monkeypatch.setattr(fen, "feedback_edge_set", lambda static: calls.append(static) or real(static))
+    for _ in range(40):
+        g = random_instance(rng, n_hi=9, m_hi=16)
+        s, z = rng.sample(range(g.n), 2)
+        calls.clear()
+        assert count_fen(g, s, z) == count_paths_bf(g, s, z)
+        assert len(calls) == (1 if prune_degree_one(g, s, z).time_edges else 0)

@@ -9,11 +9,15 @@ independent check.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronopath.dispatch import DispatchCaps
+from chronopath.errors import EnumerationLimitError
 from chronopath.fen import count_fen, feedback_edge_set
 from chronopath.generate import diamond_chain
 from chronopath.graph import underlying_graph
+from chronopath.oracle import count_paths_bf
 from chronopath.tfvs import compute_timed_fvs, count_tfvs
 from chronopath.vimw import count_vimw, vimw_width
 
@@ -77,3 +81,77 @@ def test_fen_tfvs_vimw_agree_under_default_caps():
             assert count_tfvs(g, 0, z, tfvs=x) == want
         largest = max(largest, count_vimw(g, 0, last))
     assert largest > 10**4  # out of the oracle's comfortable reach
+
+
+def flat_block_chain(rng: random.Random, blocks: int):
+    """Random blocks glued at cut vertices, every time-edge at label 1.
+
+    The whole graph is vimw's last snapshot, so its count is read off the
+    completion memo.  Each block is a random tree on three to five vertices
+    plus one or two chords, so it is cyclic and the count multiplies at each
+    cut vertex.  Returns the graph and the last cut vertex.
+    """
+    edges = []
+    cut, nxt = 0, 1
+    for _ in range(blocks):
+        verts = [cut] + list(range(nxt, nxt + rng.randint(2, 4)))
+        nxt = verts[-1] + 1
+        tree = set()
+        for j in range(1, len(verts)):
+            tree.add((verts[rng.randrange(j)], verts[j]))
+        chords = [
+            (u, v)
+            for i, u in enumerate(verts)
+            for v in verts[i + 1 :]
+            if (u, v) not in tree and (v, u) not in tree
+        ]
+        for u, v in [*tree, *rng.sample(chords, min(len(chords), rng.randint(1, 2)))]:
+            edges.append((u, v, 1))
+        cut = verts[-1]
+    return make_graph(nxt, edges), cut
+
+
+def test_flat_block_chains_split_at_cut_vertices():
+    rng = random.Random(20261019)
+    checked = largest = 0
+    for _ in range(20):
+        g, last = flat_block_chain(rng, rng.randint(6, 9))
+        assert g.lifetime == 1
+        assert len(feedback_edge_set(underlying_graph(g))) >= 6
+        for z in range(1, g.n):
+            want = count_vimw(g, 0, z)
+            assert count_fen(g, 0, z) == want
+            try:
+                assert count_paths_bf(g, 0, z, limit=20_000) == want
+                checked += 1
+            except EnumerationLimitError:
+                assert want > 20_000
+        largest = max(largest, count_vimw(g, 0, last))
+    assert checked > 100 and largest > 10**3
+
+
+@st.composite
+def late_snapshot_graphs(draw):
+    """Random edges at labels 1..3, then a connected snapshot of 6+ vertices at 4."""
+    n = draw(st.integers(6, 8))
+    early = draw(
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    spine = draw(st.permutations(range(n)))[: draw(st.integers(6, n))]
+    extra = draw(st.sets(st.tuples(st.sampled_from(spine), st.sampled_from(spine)), max_size=6))
+    edges = {(u, v, t) for u, v, t in early if u != v}
+    edges |= {(u, v, 4) for u, v in zip(spine, spine[1:])}
+    edges |= {(u, v, 4) for u, v in extra if u != v}
+    return make_graph(n, edges), spine
+
+
+@settings(max_examples=80, deadline=None)
+@given(late_snapshot_graphs(), st.integers(0, 35), st.integers(0, 35))
+def test_vimw_last_snapshot_memo_against_oracle(gs, s_pick, z_pick):
+    g, spine = gs
+    s, z = s_pick % g.n, spine[z_pick % len(spine)]
+    assert count_vimw(g, s, z) == count_paths_bf(g, s, z)
