@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import EnumerationLimitError
 from .forest import advance
 from .graph import StaticGraph, TemporalGraph, _keep_edges, underlying_graph
-from .graph import region_mask, sum_walk_states
+from .graph import closing_edges, region_mask, sum_walk_states, two_core
 
 SEQUENCE_CAP_CONSTANT = 64
 
@@ -34,41 +34,13 @@ def prune_degree_one(g: TemporalGraph, s: int, z: int) -> TemporalGraph:
     z together with their time-edges; the vertex set itself (and all dense
     ids) stay untouched, such vertices just become isolated.
     """
-    adj = underlying_graph(g).adj
-    degree = [len(adj[v]) for v in range(g.n)]
-    removed = [False] * g.n
-    queue = [v for v in range(g.n) if degree[v] <= 1 and v not in (s, z)]
-    while queue:
-        v = queue.pop()
-        if removed[v]:
-            continue
-        removed[v] = True
-        for w in adj[v]:
-            if not removed[w]:
-                degree[w] -= 1
-                if degree[w] <= 1 and w not in (s, z):
-                    queue.append(w)
-    return _keep_edges(g, [e for e in g.time_edges if not removed[e[0]] and not removed[e[1]]])
+    core = two_core(underlying_graph(g).sorted_edges, (s, z))
+    return _keep_edges(g, [e for e in g.time_edges if e[0] in core and e[1] in core])
 
 
 def feedback_edge_set(static: StaticGraph) -> frozenset[tuple[int, int]]:
     """Complement of a spanning forest; any spanning forest gives minimum size."""
-    parent = list(range(static.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    feedback = []
-    for u, v in sorted(static.edges):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            feedback.append((u, v))
-        else:
-            parent[ru] = rv
-    return frozenset(feedback)
+    return frozenset(closing_edges(static.n, static.sorted_edges))
 
 
 class CondensedGraph(NamedTuple):
@@ -83,32 +55,32 @@ def condense(g: TemporalGraph, s: int, z: int) -> CondensedGraph:
     """Decompose the pruned underlying graph into terminals and links."""
     static = underlying_graph(g)
     feedback = feedback_edge_set(static)
-    forest_adj: dict[int, list[int]] = {v: [] for v in range(static.n)}
-    for u, v in static.edges:
-        if (u, v) in feedback:
-            continue
-        forest_adj[u].append(v)
-        forest_adj[v].append(u)
+    # Built from the sorted edges, so every neighbour list comes out sorted.
+    forest_adj: list[list[int]] = [[] for _ in range(static.n)]
+    for u, v in static.sorted_edges:
+        if (u, v) not in feedback:
+            forest_adj[u].append(v)
+            forest_adj[v].append(u)
     terminals = {s, z, *(x for edge in feedback for x in edge)}
-    terminals.update(v for v in range(static.n) if static.degree(v) >= 3)
+    terminals.update(v for v, nb in enumerate(static.adj) if len(nb) >= 3)
 
-    links: list[tuple[int, ...]] = [(u, v) for u, v in sorted(feedback)]
-    seen_edges: set[tuple[int, int]] = set()
+    links: list[tuple[int, ...]] = sorted(feedback)
+    # A link walked from one terminal is not walked back from the other: the
+    # forest has no cycle, so only its far end leads into it again.
+    arrived: set[tuple[int, int]] = set()
     for start in sorted(terminals):
-        for first in sorted(forest_adj[start]):
-            key = (min(start, first), max(start, first))
-            if key in seen_edges:
+        for first in forest_adj[start]:
+            if (start, first) in arrived:
                 continue
             path = [start, first]
-            seen_edges.add(key)
             while path[-1] not in terminals:
                 cur, prev = path[-1], path[-2]
                 nxts = [w for w in forest_adj[cur] if w != prev]
                 if not nxts:
                     break  # dangles at a degree-1 vertex; unusable by any s-z path
                 path.append(nxts[0])
-                seen_edges.add((min(cur, nxts[0]), max(cur, nxts[0])))
             if path[-1] in terminals:
+                arrived.add((path[-1], path[-2]))
                 links.append(tuple(path))
     return CondensedGraph(frozenset(terminals), tuple(links), feedback)
 

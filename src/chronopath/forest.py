@@ -23,11 +23,6 @@ from .errors import NotAForestError
 from .graph import StaticGraph, TemporalGraph, underlying_graph
 
 
-def _require_forest(static: StaticGraph) -> None:
-    if not static.is_forest:
-        raise NotAForestError("underlying graph contains a cycle")
-
-
 def static_tree_path(static: StaticGraph, a: int, b: int) -> list[int] | None:
     """The unique a..b path of a forest as a vertex list, or None if disconnected."""
     if a == b:
@@ -107,11 +102,12 @@ def count_forest(
     if t_min < 1 or (t_max is not None and t_max < t_min):
         raise ValueError(f"bad window [{t_min}, {t_max}]")
     static = underlying_graph(g)
-    _require_forest(static)
+    if not static.is_forest:
+        raise NotAForestError("underlying graph contains a cycle")
     if s == z:
         return 1
     path = static_tree_path(static, s, z)
     if path is None:
         return 0
-    labels = [g.edge_labels(path[i], path[i + 1]) for i in range(len(path) - 1)]
+    labels = [g.edge_labels(u, v) for u, v in zip(path, path[1:])]
     return count_path_labels(labels, t_min=t_min, t_max=t_max)

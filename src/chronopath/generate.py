@@ -8,18 +8,13 @@ with a constant label the (s,z)-path count is exactly 2^ell.
 from __future__ import annotations
 
 from .errors import InvalidParameterError
-from .graph import TemporalGraph
+from .graph import TemporalGraph, _columns, _normalize
 from .rng import child_rng
 
 
 def _finalize(n: int, edges: set[tuple[int, int, int]]) -> TemporalGraph:
-    labels = sorted({t for _, _, t in edges})
-    remap = {t: i + 1 for i, t in enumerate(labels)}
-    return TemporalGraph(
-        n=n,
-        time_edges=tuple(sorted((u, v, remap[t]) for u, v, t in edges)),
-        lifetime=len(labels),
-    )
+    # Drawn labels name nothing, so no label_names are kept.
+    return _normalize(n, *_columns(edges), None)._replace(label_names=None)
 
 
 def random_temporal_graph(n: int, m: int, t_max: int, seed: int) -> TemporalGraph:

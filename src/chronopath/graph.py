@@ -6,19 +6,25 @@ label t, with 1 <= t <= lifetime.  A temporal path traverses time-edges
 with non-decreasing labels and never revisits a vertex.
 
 All types here are immutable after construction; derived structures are
-cached lazily and the objects are safe to share across workers.
+cached lazily and the objects are safe to share across workers.  Every
+construction site sorts ``time_edges``, and the derived indices are read
+off that order in linear passes, with no sort of their own.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import defaultdict
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from itertools import groupby
+from operator import eq, itemgetter
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import EdgeListParseError
 
 TimeEdge = tuple[int, int, int]  # (u, v, t) with u < v
+_EDGE, _LABEL = itemgetter(0, 1), itemgetter(2)
 
 
 # A NamedTuple gives value equality and read-only fields; a subclass of it
@@ -35,9 +41,10 @@ class TemporalGraph(_TemporalGraphFields):
     """Undirected simple temporal graph on vertices 0..n-1.
 
     ``time_edges`` is a sorted tuple of (u, v, t) with u < v and no
-    duplicates.  For a normalized graph every label 1..lifetime occurs on
-    at least one time-edge; graphs produced by :func:`restrict` keep their
-    absolute labels and may have gaps.
+    duplicates, and the derived indices rely on that order.  For a
+    normalized graph every label 1..lifetime occurs on at least one
+    time-edge; graphs produced by :func:`restrict` keep their absolute
+    labels and may have gaps.
 
     ``vertex_names`` / ``label_names`` map the dense internal ids back to
     the identifiers and labels that appeared in the input, for reporting.
@@ -45,7 +52,7 @@ class TemporalGraph(_TemporalGraphFields):
 
     @cached_property
     def edges_at(self) -> dict[int, list[tuple[int, int]]]:
-        """Label -> list of static edges active at that label."""
+        """Label -> list of static edges active at that label, each list sorted."""
         snap: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for u, v, t in self.time_edges:
             snap[t].append((u, v))
@@ -55,25 +62,22 @@ class TemporalGraph(_TemporalGraphFields):
     def incident(self) -> dict[int, list[tuple[int, int]]]:
         """Vertex -> list of (neighbour, label), sorted by (label, neighbour)."""
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.n)}
-        for u, v, t in self.time_edges:
-            adj[u].append((v, t))
-            adj[v].append((u, t))
-        for v in adj:
-            adj[v].sort(key=lambda wt: (wt[1], wt[0]))
+        edges_at = self.edges_at
+        for t in sorted(edges_at):
+            for u, v in edges_at[t]:
+                adj[u].append((v, t))
+                adj[v].append((u, t))
         return adj
 
     @cached_property
     def labels_by_edge(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Static edge (u < v) -> sorted labels at which it is active."""
-        lab: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for u, v, t in self.time_edges:
-            lab[(u, v)].append(t)
-        return {e: tuple(sorted(ts)) for e, ts in lab.items()}
+        return {e: tuple(map(_LABEL, run)) for e, run in groupby(self.time_edges, _EDGE)}
 
     @cached_property
     def _underlying(self) -> StaticGraph:
         """The label-forgetting projection, built once; callers must not mutate it."""
-        return StaticGraph(n=self.n, edges=frozenset((u, v) for u, v, _ in self.time_edges))
+        return StaticGraph(self.n, tuple(dict.fromkeys(map(_EDGE, self.time_edges))))
 
     @cached_property
     def _sweeps(self) -> dict[tuple[int, int], list[int | None]]:
@@ -81,9 +85,12 @@ class TemporalGraph(_TemporalGraphFields):
         return {}
 
     def edge_labels(self, u: int, v: int) -> tuple[int, ...]:
+        """Sorted labels of {u, v}: one run of the time-edges, found by bisection."""
         if u > v:
             u, v = v, u
-        return self.labels_by_edge.get((u, v), ())
+        edges = self.time_edges
+        i = bisect_left(edges, (u, v))
+        return tuple(map(_LABEL, edges[i : bisect_left(edges, (u, v + 1), i)]))
 
     def vertex_name(self, v: int) -> int:
         return self.vertex_names[v] if self.vertex_names is not None else v
@@ -102,41 +109,71 @@ class TemporalGraph(_TemporalGraphFields):
 
 class _StaticGraphFields(NamedTuple):
     n: int
-    edges: frozenset[tuple[int, int]]  # (u, v) with u < v
+    sorted_edges: tuple[tuple[int, int], ...]  # distinct (u, v) with u < v, sorted
 
 
 class StaticGraph(_StaticGraphFields):
     """Simple undirected graph; the label-forgetting projection."""
 
     @cached_property
-    def adj(self) -> dict[int, list[int]]:
-        a: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges)
+
+    @cached_property
+    def adj(self) -> list[list[int]]:
+        """Vertex -> neighbours, sorted because the edges are."""
+        a: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.sorted_edges:
             a[u].append(v)
             a[v].append(u)
-        for v in a:
-            a[v].sort()
         return a
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     @cached_property
     def is_forest(self) -> bool:
-        parent = list(range(self.n))
+        edges = self.sorted_edges
+        return not edges or len(edges) < self.n and not closing_edges(self.n, edges)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
+def closing_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges that close a cycle when ``edges`` join vertices 0..n-1 in order;
+    the rest form a spanning forest.  Union-find with path halving."""
+    parent = list(range(n))
+    closing = []
+    for u, v in edges:
+        ru, rv = u, v
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
+        if ru == rv:
+            closing.append((u, v))
+        else:
             parent[ru] = rv
-        return True
+    return closing
+
+
+def two_core(edges: Iterable[tuple[int, int]], keep: Iterable[int] = ()) -> dict[int, set[int]]:
+    """Adjacency of the 2-core: vertices of degree <= 1, other than ``keep``,
+    peeled until none is left.
+
+    This is the k = 2 case of Batagelj and Zaversnik's O(m) core
+    decomposition.  Without ``keep`` the 2-core is an induced subgraph that
+    holds every cycle; it is empty iff the graph is a forest.
+    """
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    keep = set(keep)
+    stack = [v for v, nb in adj.items() if len(nb) <= 1 and v not in keep]
+    while stack:
+        v = stack.pop()
+        for w in adj.pop(v):
+            nb = adj[w]
+            nb.discard(v)
+            if len(nb) == 1 and w not in keep:
+                stack.append(w)
+    return adj
 
 
 class TemporalPath(NamedTuple):
@@ -190,29 +227,41 @@ def validate_path(g: TemporalGraph, path: TemporalPath) -> None:
         prev_vertex, prev_label = v, t
 
 
-def _normalize(
-    n: int,
-    raw_edges: Iterable[tuple[int, int, int]],
-    vertex_names: tuple[int, ...] | None,
-) -> TemporalGraph:
-    """Deduplicate, orient u < v, and remap labels to contiguous 1..T."""
-    dedup = set()
-    for u, v, t in raw_edges:
-        if u == v:
-            raise EdgeListParseError(f"loop edge at vertex {u}")
+def _normalize(n: int, us, vs, ts, vertex_names: tuple[int, ...] | None) -> TemporalGraph:
+    """Time-edges from u, v, t columns (no loops, labels >= 1): labels remapped onto
+    1..T, then oriented u < v and sorted in one pass, which makes duplicates neighbours."""
+    labels = sorted(set(ts))
+    if labels and labels[-1] != len(labels):
+        ts = map(dict(zip(labels, range(1, len(labels) + 1))).__getitem__, ts)
+    edges = sorted((u, v, t) if u < v else (v, u, t) for u, v, t in zip(us, vs, ts))
+    edges = [e for e, _ in groupby(edges)]
+    return TemporalGraph(n, tuple(edges), len(labels), vertex_names, tuple(labels) or None)
+
+
+def _columns(edges: Collection[TimeEdge]) -> tuple[Iterable[int], Iterable[int], list[int]]:
+    """The u, v and t columns of some time-edges, without copying the first two."""
+    return map(itemgetter(0), edges), map(itemgetter(1), edges), list(map(_LABEL, edges))
+
+
+def _first_bad_line(lines: list[str]) -> EdgeListParseError:
+    """The error for the first line of an edge-list document that breaks the format."""
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            return EdgeListParseError(f"line {line_no}: expected 'u v t', got {line.strip()!r}")
+        try:
+            u_name, v_name, t = (int(p) for p in parts)
+        except ValueError:
+            return EdgeListParseError(f"line {line_no}: non-integer field in {line.strip()!r}")
+        if u_name < 0 or v_name < 0:
+            return EdgeListParseError(f"line {line_no}: negative vertex identifier")
         if t < 1:
-            raise EdgeListParseError(f"time label {t} < 1")
-        dedup.add((min(u, v), max(u, v), t))
-    used_labels = sorted({t for _, _, t in dedup})
-    remap = {t: i + 1 for i, t in enumerate(used_labels)}
-    edges = tuple(sorted((u, v, remap[t]) for u, v, t in dedup))
-    return TemporalGraph(
-        n=n,
-        time_edges=edges,
-        lifetime=len(used_labels),
-        vertex_names=vertex_names,
-        label_names=tuple(used_labels) if used_labels else None,
-    )
+            return EdgeListParseError(f"line {line_no}: time label must be >= 1")
+        if u_name == v_name:
+            return EdgeListParseError(f"line {line_no}: loop edge at vertex {u_name}")
+    raise AssertionError("no bad line in a document that failed a check")
 
 
 def parse(text: str) -> TemporalGraph:
@@ -220,33 +269,30 @@ def parse(text: str) -> TemporalGraph:
 
     Vertex identifiers are non-negative integers and are remapped, in order
     of first appearance, onto dense ids 0..n-1; labels are remapped onto
-    1..T with the originals kept in ``label_names``.
+    1..T with the originals kept in ``label_names``.  The checks run over
+    whole columns; only a document that fails one is walked line by line,
+    to name its first bad line.
     """
-    ids: dict[int, int] = {}
-    raw: list[tuple[int, int, int]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 3:
-            raise EdgeListParseError(f"line {line_no}: expected 'u v t', got {body!r}")
-        try:
-            u_name, v_name, t = (int(p) for p in parts)
-        except ValueError:
-            raise EdgeListParseError(f"line {line_no}: non-integer field in {body!r}") from None
-        if u_name < 0 or v_name < 0:
-            raise EdgeListParseError(f"line {line_no}: negative vertex identifier")
-        if t < 1:
-            raise EdgeListParseError(f"line {line_no}: time label must be >= 1")
-        if u_name == v_name:
-            raise EdgeListParseError(f"line {line_no}: loop edge at vertex {u_name}")
-        for name in (u_name, v_name):
-            if name not in ids:
-                ids[name] = len(ids)
-        raw.append((ids[u_name], ids[v_name], t))
-    names = tuple(ids)
-    return _normalize(len(names), raw, names if names else None)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+        text = "\n".join(lines)
+    try:
+        if not set(map(len, map(str.split, lines))) <= {0, 3}:
+            raise ValueError
+        fields = list(map(int, text.split()))
+        labels = fields[2::3]
+        del fields[2::3]  # now u0 v0 u1 v1 ...
+        if fields and (
+            min(fields) < 0 or min(labels) < 1 or any(map(eq, fields[::2], fields[1::2]))
+        ):
+            raise ValueError
+    except ValueError:
+        raise _first_bad_line(lines) from None
+    names = tuple(dict.fromkeys(fields))
+    ids = dict(zip(names, range(len(names))))
+    dense = list(map(ids.__getitem__, fields))
+    return _normalize(len(names), dense[::2], dense[1::2], labels, names or None)
 
 
 def to_text(g: TemporalGraph) -> str:
@@ -282,7 +328,12 @@ def from_json(text: str) -> TemporalGraph:
                 f'bad JSON graph document: "T" must be an integer >= every time label, '
                 f"got {lifetime!r}"
             )
-    return _normalize(n, edges, None)
+    for u, v, t in edges:
+        if u == v:
+            raise EdgeListParseError(f"loop edge at vertex {u}")
+        if t < 1:
+            raise EdgeListParseError(f"time label {t} < 1")
+    return _normalize(n, *_columns(edges), None)
 
 
 def underlying_graph(g: TemporalGraph) -> StaticGraph:

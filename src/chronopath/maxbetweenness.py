@@ -132,7 +132,7 @@ def estimate_max_betweenness(
         for sampler in samplers:
             for _ in range(ell):
                 # The targets of all but the last step are the internal vertices.
-                for _, v, _ in sampler.sample(rng).steps[:-1]:
+                for _, v, _ in sampler.walk(rng)[:-1]:
                     tally[v] += 1
         best_vertex = max(range(g.n), key=lambda v: (tally[v], -v))
         outcomes.append((Fraction(tally[best_vertex], ell), best_vertex))

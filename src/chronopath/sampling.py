@@ -108,11 +108,12 @@ class PathSampler:
     def total_count(self):
         return self._completions(self.s, 1, frozenset())
 
-    def sample(self, rng: random.Random) -> TemporalPath:
-        if self.s == self.z:
-            return TemporalPath(source=self.s)
-        cur, state = self.s, self._state(self.s, 1, frozenset((self.s,)))
+    def walk(self, rng: random.Random) -> list[tuple[int, int, int]]:
+        """The steps of one drawn path."""
         steps: list[tuple[int, int, int]] = []
+        if self.s == self.z:
+            return steps
+        cur, state = self.s, self._state(self.s, 1, frozenset((self.s,)))
         while cur != self.z:
             cum = state.cum
             if not cum:
@@ -129,7 +130,10 @@ class PathSampler:
             if child is None and w != self.z:
                 child = state.children[i] = self._state(w, t, state.visited | {w})
             cur, state = w, child
-        return TemporalPath(source=self.s, steps=tuple(steps))
+        return steps
+
+    def sample(self, rng: random.Random) -> TemporalPath:
+        return TemporalPath(source=self.s, steps=tuple(self.walk(rng)))
 
 
 def sample_path(g: TemporalGraph, s: int, z: int, config: SamplerConfig) -> TemporalPath:
@@ -156,14 +160,18 @@ class OptimalPathSampler:
                 counts.append(count)
         self.window_cum = _cumulative_weights(counts)
 
-    def sample(self, rng: random.Random) -> TemporalPath:
+    def walk(self, rng: random.Random) -> list[tuple[int, int, int]]:
+        """The steps of one drawn path."""
         if self.trivial:
-            return TemporalPath(source=self.s)
+            return []
         if not self.window_samplers:
             raise NoPathError("no optimal path to sample")
         cum = self.window_cum
         index = bisect_right(cum, rng.randrange(cum[-1])) if len(cum) > 1 else 0
-        return self.window_samplers[index].sample(rng)
+        return self.window_samplers[index].walk(rng)
+
+    def sample(self, rng: random.Random) -> TemporalPath:
+        return TemporalPath(source=self.s, steps=tuple(self.walk(rng)))
 
 
 def sample_optimal(

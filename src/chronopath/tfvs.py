@@ -37,12 +37,12 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain, groupby, permutations, product
 from math import factorial
-from typing import Iterable
 
 from .chordal import ChordalInstance, count_weighted_mc_is
 from .errors import BudgetExceededError, EnumerationLimitError, NotAForestError
 from .forest import count_path_labels, static_tree_path
 from .graph import TemporalGraph, TimeEdge, _keep_edges, underlying_graph
+from .graph import two_core as _two_core
 
 Appearance = tuple[int, int]  # (vertex, time)
 
@@ -56,28 +56,6 @@ def delete_appearances(g: TemporalGraph, x: frozenset[Appearance]) -> TemporalGr
 
 def is_timed_fvs(g: TemporalGraph, x: frozenset[Appearance]) -> bool:
     return underlying_graph(delete_appearances(g, x)).is_forest
-
-
-def _two_core(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
-    """Adjacency of the 2-core: vertices of degree <= 1 peeled until none is left.
-
-    This is the k = 2 case of Batagelj and Zaversnik's O(m) core
-    decomposition.  The 2-core is an induced subgraph and holds every
-    cycle; it is empty iff the graph is a forest.
-    """
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    stack = [v for v, nb in adj.items() if len(nb) <= 1]
-    while stack:
-        v = stack.pop()
-        for w in adj.pop(v):
-            nb = adj[w]
-            nb.discard(v)
-            if len(nb) == 1:
-                stack.append(w)
-    return adj
 
 
 def _shortest_cycle_edges(core: dict[int, set[int]]) -> list[tuple[int, int]] | None:

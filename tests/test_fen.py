@@ -76,3 +76,88 @@ def test_count_finds_the_feedback_edges_once(rng, monkeypatch):
         calls.clear()
         assert count_fen(g, s, z) == count_paths_bf(g, s, z)
         assert len(calls) == (1 if prune_degree_one(g, s, z).time_edges else 0)
+
+
+def _reference_prune(g, s, z):
+    """prune_degree_one as a degree-count queue over the whole vertex range."""
+    adj = underlying_graph(g).adj
+    degree = [len(adj[v]) for v in range(g.n)]
+    removed = [False] * g.n
+    queue = [v for v in range(g.n) if degree[v] <= 1 and v not in (s, z)]
+    while queue:
+        v = queue.pop()
+        if removed[v]:
+            continue
+        removed[v] = True
+        for w in adj[v]:
+            if not removed[w]:
+                degree[w] -= 1
+                if degree[w] <= 1 and w not in (s, z):
+                    queue.append(w)
+    return tuple(e for e in g.time_edges if not removed[e[0]] and not removed[e[1]])
+
+
+def _reference_feedback_edge_set(static):
+    """Union-find over the sorted static edges with a nested find."""
+    parent = list(range(static.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    feedback = []
+    for u, v in sorted(static.edges):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            feedback.append((u, v))
+        else:
+            parent[ru] = rv
+    return frozenset(feedback)
+
+
+def _reference_condense(g, s, z):
+    """condense with sorted neighbour lists and (min, max) edge keys built per call."""
+    static = underlying_graph(g)
+    feedback = _reference_feedback_edge_set(static)
+    forest_adj = {v: [] for v in range(static.n)}
+    degree = [0] * static.n
+    for u, v in static.edges:
+        degree[u] += 1
+        degree[v] += 1
+        if (u, v) not in feedback:
+            forest_adj[u].append(v)
+            forest_adj[v].append(u)
+    terminals = {s, z, *(x for edge in feedback for x in edge)}
+    terminals.update(v for v in range(static.n) if degree[v] >= 3)
+    links = [(u, v) for u, v in sorted(feedback)]
+    seen_edges = set()
+    for start in sorted(terminals):
+        for first in sorted(forest_adj[start]):
+            key = (min(start, first), max(start, first))
+            if key in seen_edges:
+                continue
+            path = [start, first]
+            seen_edges.add(key)
+            while path[-1] not in terminals:
+                cur, prev = path[-1], path[-2]
+                nxts = [w for w in forest_adj[cur] if w != prev]
+                if not nxts:
+                    break
+                path.append(nxts[0])
+                seen_edges.add((min(cur, nxts[0]), max(cur, nxts[0])))
+            if path[-1] in terminals:
+                links.append(tuple(path))
+    return frozenset(terminals), tuple(links), feedback
+
+
+def test_prune_feedback_edges_and_condense_match_reference(rng):
+    for _ in range(300):
+        g = random_instance(rng, n_hi=11, m_hi=22)
+        static = underlying_graph(g)
+        assert feedback_edge_set(static) == _reference_feedback_edge_set(static)
+        s, z = rng.sample(range(g.n), 2)
+        assert prune_degree_one(g, s, z).time_edges == _reference_prune(g, s, z)
+        for h in (g, prune_degree_one(g, s, z)):
+            assert tuple(condense(h, s, z)) == _reference_condense(h, s, z), (h.time_edges, s, z)

@@ -1,13 +1,14 @@
 import pytest
 
 from chronopath.errors import InvalidParameterError
+from chronopath import generate
 from chronopath.generate import (
     diamond_chain,
     random_forest_graph,
     random_temporal_graph,
     width_bounded_chain,
 )
-from chronopath.graph import underlying_graph
+from chronopath.graph import TemporalGraph, underlying_graph
 from chronopath.oracle import count_paths_bf
 from chronopath.vimw import vimw_width
 
@@ -58,3 +59,24 @@ def test_width_bounded_chain():
     from chronopath.oracle import count_paths_bf as bf
 
     assert bf(g, 0, 30) == 1
+
+
+def test_finalize_matches_its_reference(monkeypatch):
+    """The shared normaliser gives each generator the graph its own remap and sort gave."""
+
+    def reference(n, edges):
+        labels = sorted({t for _, _, t in edges})
+        remap = {t: i + 1 for i, t in enumerate(labels)}
+        return TemporalGraph(
+            n=n, time_edges=tuple(sorted((u, v, remap[t]) for u, v, t in edges)), lifetime=len(labels)
+        )
+
+    makers = [
+        lambda: random_temporal_graph(9, 20, 30, seed=4),
+        lambda: random_forest_graph(40, 70, 25, seed=7),
+        lambda: diamond_chain(5, label=3),
+        lambda: width_bounded_chain(12),
+    ]
+    built = [make() for make in makers]
+    monkeypatch.setattr(generate, "_finalize", reference)
+    assert built == [make() for make in makers]

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronopath.errors import EdgeListParseError
 from chronopath.graph import (
+    TemporalGraph,
     TemporalPath,
     connectivity_matrix,
     earliest_arrival,
@@ -162,3 +165,119 @@ def test_validate_path():
         validate_path(
             I1, TemporalPath(source=0, steps=((0, 1, 1), (1, 0, 1)))
         )
+
+
+def _reference_parse(text: str) -> TemporalGraph:
+    """The edge-list parser as a plain line loop: check, name and normalise line by line."""
+    ids: dict[int, int] = {}
+    raw: list[tuple[int, int, int]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 3:
+            raise EdgeListParseError(f"line {line_no}: expected 'u v t', got {body!r}")
+        try:
+            u_name, v_name, t = (int(p) for p in parts)
+        except ValueError:
+            raise EdgeListParseError(f"line {line_no}: non-integer field in {body!r}") from None
+        if u_name < 0 or v_name < 0:
+            raise EdgeListParseError(f"line {line_no}: negative vertex identifier")
+        if t < 1:
+            raise EdgeListParseError(f"line {line_no}: time label must be >= 1")
+        if u_name == v_name:
+            raise EdgeListParseError(f"line {line_no}: loop edge at vertex {u_name}")
+        for name in (u_name, v_name):
+            if name not in ids:
+                ids[name] = len(ids)
+        raw.append((ids[u_name], ids[v_name], t))
+    dedup = {(min(u, v), max(u, v), t) for u, v, t in raw}
+    used_labels = sorted({t for _, _, t in dedup})
+    remap = {t: i + 1 for i, t in enumerate(used_labels)}
+    return TemporalGraph(
+        n=len(ids),
+        time_edges=tuple(sorted((u, v, remap[t]) for u, v, t in dedup)),
+        lifetime=len(used_labels),
+        vertex_names=tuple(ids) or None,
+        label_names=tuple(used_labels) or None,
+    )
+
+
+# int() reads every spelling, str.split() splits at every gap, and
+# str.splitlines() also ends a line at "\x0b", "\x1c" and "\u2028".
+_SPELLINGS = (str, lambda x: f"+{x}", lambda x: f"0{x}", lambda x: "_".join(str(x)))
+_GAPS = (" ", "  ", "\t", " \t ", "\x1f", "\xa0")
+_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028")
+
+# One malformed line per error kind, in the order the checks run.
+_BAD_LINES = {
+    "count": ("0 1", "0 1 2 3", "5"),
+    "integer": ("0 x 1", "0 1 1.5", "1e3 2 3"),
+    "negative": ("-1 2 3", "4 -0_1 1", "-2 -2 0"),
+    "label": ("0 1 0", "3 4 -7", "6 6 0"),
+    "loop": ("4 4 1", "07 7 2", "+3 3 9"),
+}
+
+
+def _edge_line(rng: random.Random, pool: list[int]) -> str:
+    u, v = rng.sample(pool, 2)
+    fields = [rng.choice(_SPELLINGS)(x) for x in (u, v, rng.randint(1, 40))]
+    line = rng.choice(("", " ", "\t")) + rng.choice(_GAPS).join(fields) + rng.choice(("", " "))
+    return line + (" # note 1 2" if rng.random() < 0.2 else "")
+
+
+def _document(rng: random.Random, bad: list[str] = ()) -> str:
+    pool = rng.sample(range(60), rng.randint(2, 9))
+    lines = []
+    for _ in range(rng.randint(0, 14)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(rng.choice(("", "   ", "\t", "# a comment", "  # 1 2 3")))
+        elif kind < 0.3 and lines:
+            lines.append(rng.choice(lines))  # a repeated edge or blank line
+        else:
+            lines.append(_edge_line(rng, pool))
+    for line in bad:
+        lines.insert(rng.randint(0, len(lines)), line)
+    end = rng.choice(_ENDS)
+    return end.join(lines) + (end if rng.random() < 0.5 else "")
+
+
+def _outcome(parser, text: str):
+    try:
+        return parser(text)
+    except EdgeListParseError as exc:
+        return f"error: {exc}"
+
+
+def test_parse_matches_line_loop_reference():
+    rng = random.Random(0x5EED)
+    for _ in range(400):
+        text = _document(rng)
+        want = _reference_parse(text)
+        assert parse(text) == want, repr(text)
+    assert parse("") == _reference_parse("") == TemporalGraph(0, (), 0)
+
+
+def test_parse_errors_match_line_loop_reference():
+    rng = random.Random(0xBAD)
+    kinds = list(_BAD_LINES)
+    for first in kinds:
+        for second in [None, *kinds]:
+            for _ in range(12):
+                bad = [rng.choice(_BAD_LINES[first])]
+                if second is not None:
+                    bad.append(rng.choice(_BAD_LINES[second]))
+                text = _document(rng, bad)
+                want = _outcome(_reference_parse, text)
+                assert want.startswith("error: line "), repr(text)
+                assert _outcome(parse, text) == want, repr(text)
+
+
+def test_parse_names_the_first_bad_line():
+    text = "0 1 1\n2 2 1\n3 4\n-1 0 2\n"
+    with pytest.raises(EdgeListParseError, match="^line 2: loop edge at vertex 2$"):
+        parse(text)
+    with pytest.raises(EdgeListParseError, match="^line 3: expected 'u v t', got '3 4'$"):
+        parse("# head\n0 1 1\n3 4 # short\n0 1 x\n")

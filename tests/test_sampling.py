@@ -254,3 +254,13 @@ def test_seeded_stream_matches_reference(rng):
             assert (got.value, got.argmax_vertex) == want
             estimated += 1
     assert estimated >= 30
+
+
+def test_walk_draws_the_steps_that_sample_wraps():
+    for s, z in ((0, 2), (1, 1)):
+        for sampler in (PathSampler(I5, s, z, count_fen), OptimalPathSampler(I5, s, z, "fastest", count_fen)):
+            r_walk, r_sample = child_rng(5, "walk"), child_rng(5, "walk")
+            for _ in range(20):
+                path = sampler.sample(r_sample)
+                assert (path.source, tuple(sampler.walk(r_walk))) == (s, path.steps)
+            assert r_walk.getstate() == r_sample.getstate()
