@@ -20,9 +20,9 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import EnumerationLimitError
-from .forest import advance
+from .forest import advance, two_core
 from .graph import StaticGraph, TemporalGraph, _keep_edges, underlying_graph
-from .graph import closing_edges, region_mask, sum_walk_states, two_core
+from .graph import closing_edges, region_mask, sum_walk_states
 
 SEQUENCE_CAP_CONSTANT = 64
 
@@ -104,12 +104,11 @@ def count_fen(g: TemporalGraph, s: int, z: int) -> int:
     # Per terminal index, the links leaving it as (far end, label lists in
     # walking order), each built once in both directions, and a neighbour mask.
     index = {t: i for i, t in enumerate(sorted(condensed.terminals))}
-    labels_by_edge = pruned.labels_by_edge
     moves: list[list[tuple[int, list[tuple[int, ...]]]]] = [[] for _ in index]
     nbr = [0] * len(index)
     for link in condensed.links:
         a, b = index[link[0]], index[link[-1]]
-        lists = [labels_by_edge[(u, v) if u < v else (v, u)] for u, v in zip(link, link[1:])]
+        lists = [pruned.edge_labels(u, v) for u, v in zip(link, link[1:])]
         moves[a].append((b, lists))
         moves[b].append((a, lists[::-1]))
         nbr[a] |= 1 << b

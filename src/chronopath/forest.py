@@ -12,15 +12,41 @@ arrive at time <= t:
 Each column F(v_i, .) is a non-decreasing step function with one breakpoint
 per label of the incoming edge, so we store breakpoints instead of dense
 T-length arrays; long lifetimes stay cheap.  The same step (:func:`advance`)
-drives the feedback-edge engine and the timed-FVS window counts.
+drives the feedback-edge engine and the timed-FVS window counts, and both
+peel the trees hanging off their graphs with :func:`two_core`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from typing import Iterable
 
 from .errors import NotAForestError
 from .graph import StaticGraph, TemporalGraph, underlying_graph
+
+
+def two_core(edges: Iterable[tuple[int, int]], keep: Iterable[int] = ()) -> dict[int, set[int]]:
+    """Adjacency of the 2-core: vertices of degree <= 1, other than ``keep``,
+    peeled until none is left.
+
+    This is the k = 2 case of Batagelj and Zaversnik's O(m) core
+    decomposition.  Without ``keep`` the 2-core is an induced subgraph that
+    holds every cycle; it is empty iff the graph is a forest.
+    """
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    keep = set(keep)
+    stack = [v for v, nb in adj.items() if len(nb) <= 1 and v not in keep]
+    while stack:
+        v = stack.pop()
+        for w in adj.pop(v):
+            nb = adj[w]
+            nb.discard(v)
+            if len(nb) == 1 and w not in keep:
+                stack.append(w)
+    return adj
 
 
 def static_tree_path(static: StaticGraph, a: int, b: int) -> list[int] | None:

@@ -70,11 +70,6 @@ class TemporalGraph(_TemporalGraphFields):
         return adj
 
     @cached_property
-    def labels_by_edge(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Static edge (u < v) -> sorted labels at which it is active."""
-        return {e: tuple(map(_LABEL, run)) for e, run in groupby(self.time_edges, _EDGE)}
-
-    @cached_property
     def _underlying(self) -> StaticGraph:
         """The label-forgetting projection, built once; callers must not mutate it."""
         return StaticGraph(self.n, tuple(dict.fromkeys(map(_EDGE, self.time_edges))))
@@ -116,10 +111,6 @@ class StaticGraph(_StaticGraphFields):
     """Simple undirected graph; the label-forgetting projection."""
 
     @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.sorted_edges)
-
-    @cached_property
     def adj(self) -> list[list[int]]:
         """Vertex -> neighbours, sorted because the edges are."""
         a: list[list[int]] = [[] for _ in range(self.n)]
@@ -150,30 +141,6 @@ def closing_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, i
         else:
             parent[ru] = rv
     return closing
-
-
-def two_core(edges: Iterable[tuple[int, int]], keep: Iterable[int] = ()) -> dict[int, set[int]]:
-    """Adjacency of the 2-core: vertices of degree <= 1, other than ``keep``,
-    peeled until none is left.
-
-    This is the k = 2 case of Batagelj and Zaversnik's O(m) core
-    decomposition.  Without ``keep`` the 2-core is an induced subgraph that
-    holds every cycle; it is empty iff the graph is a forest.
-    """
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    keep = set(keep)
-    stack = [v for v, nb in adj.items() if len(nb) <= 1 and v not in keep]
-    while stack:
-        v = stack.pop()
-        for w in adj.pop(v):
-            nb = adj[w]
-            nb.discard(v)
-            if len(nb) == 1 and w not in keep:
-                stack.append(w)
-    return adj
 
 
 class TemporalPath(NamedTuple):

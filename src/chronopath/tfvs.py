@@ -40,9 +40,8 @@ from math import factorial
 
 from .chordal import ChordalInstance, count_weighted_mc_is
 from .errors import BudgetExceededError, EnumerationLimitError, NotAForestError
-from .forest import count_path_labels, static_tree_path
+from .forest import count_path_labels, static_tree_path, two_core
 from .graph import TemporalGraph, TimeEdge, _keep_edges, underlying_graph
-from .graph import two_core as _two_core
 
 Appearance = tuple[int, int]  # (vertex, time)
 
@@ -144,10 +143,10 @@ def compute_timed_fvs(
         x: frozenset[Appearance], edges: set[TimeEdge], remaining: int
     ) -> frozenset[Appearance] | None:
         if remaining == 0:
-            return None if _two_core({(u, v) for u, v, _ in edges}) else x
+            return None if two_core({(u, v) for u, v, _ in edges}) else x
         entry = memo.get(x)
         if entry is None:
-            core = _two_core({(u, v) for u, v, _ in edges})
+            core = two_core({(u, v) for u, v, _ in edges})
             if not core:
                 return x
             edges = {e for e in edges if e[0] in core and e[1] in core}
@@ -227,7 +226,7 @@ def _sanitize_tfvs(g: TemporalGraph, x: frozenset[Appearance]) -> frozenset[Appe
     kept = set(x)
     for a in sorted(x):
         kept.discard(a)
-        if _two_core(
+        if two_core(
             (u, v) for u, v, t in g.time_edges if (u, t) not in kept and (v, t) not in kept
         ):
             kept.add(a)

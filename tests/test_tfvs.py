@@ -4,14 +4,13 @@ import pytest
 
 from chronopath import tfvs
 from chronopath.errors import BudgetExceededError
-from chronopath.forest import count_forest
+from chronopath.forest import count_forest, two_core
 from chronopath.generate import random_forest_graph
 from chronopath.graph import StaticGraph, underlying_graph
 from chronopath.oracle import count_paths_bf
 from chronopath.tfvs import (
     _sanitize_tfvs,
     _shortest_cycle_edges,
-    _two_core,
     compute_timed_fvs,
     count_tfvs,
     delete_appearances,
@@ -41,7 +40,7 @@ def minimum_size_bruteforce(g, limit=3):
 def _reference_shortest_cycle_edges(static: StaticGraph):
     """The plain cycle scan: one BFS from every static edge of the whole graph."""
     best = None
-    for u0, v0 in sorted(static.edges):
+    for u0, v0 in static.sorted_edges:
         # Shortest u0..v0 path avoiding the edge itself closes a shortest
         # cycle through that edge.
         parent = {u0: u0}
@@ -131,7 +130,7 @@ def test_search_matches_reference(rng):
         assert _outcome(compute_timed_fvs, g, budget) == want, (g.time_edges, budget)
         kinds.add(len(want) if isinstance(want, frozenset) else "exceeded")
         static = underlying_graph(g)
-        assert _shortest_cycle_edges(_two_core(static.edges)) == _reference_shortest_cycle_edges(static)
+        assert _shortest_cycle_edges(two_core(static.sorted_edges)) == _reference_shortest_cycle_edges(static)
     assert {0, 1, 2, 3, "exceeded"} <= kinds
 
 
