@@ -5,8 +5,8 @@ sample, params, gen.  Input graphs are read from a file or stdin, either as an
 edge-list document ("u v t" lines, '#' comments) or as the JSON form
 {"n": .., "T": .., "edges": [[u, v, t], ..]}.
 
-Exit codes: 0 success, 2 input error, 3 no feasible algorithm or a work
-budget exceeded, 4 invalid statistical-guarantee flags.
+Exit codes: 0 success, 2 input error, 3 no feasible algorithm, or a work
+budget or an engine's work cap exceeded, 4 invalid statistical-guarantee flags.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceededError,
     ChronopathError,
     EdgeListParseError,
+    EnumerationLimitError,
     InvalidParameterError,
     NoFeasibleAlgorithmError,
     NoPathError,
@@ -80,10 +81,15 @@ def _counter_for(g: TemporalGraph, algo: str, caps: DispatchCaps, tfvs_set=None)
 
     A cut that is a forest goes to the forest DP, and a cut (never g) too
     large for an oracle chosen for g is routed on its own.  A named oracle
-    is uncapped.
+    is uncapped, and a named tfvs without a set searches g for one once:
+    a timed FVS of g is one of every cut.
     """
     if algo != "auto":
         caps = caps._replace(oracle_limit=None)
+        if algo == "tfvs" and tfvs_set is None:
+            from . import tfvs
+
+            tfvs_set = tfvs.compute_timed_fvs(g)
         return algo, lambda h, s, z: dispatch_count(h, s, z, algo, caps, tfvs_set)
     engine, tfvs_set = select_algorithm(g, caps, tfvs_set)
 
@@ -377,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_BAD_STATS if stats else EXIT_INPUT
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except (NoFeasibleAlgorithmError, BudgetExceededError) as exc:
+    except (NoFeasibleAlgorithmError, BudgetExceededError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ALGORITHM
     except (ChronopathError, FileNotFoundError, KeyError, ValueError) as exc:

@@ -65,7 +65,7 @@ def sigma_through(
 
     The windows are fixed on g once and each is counted once.  v is deleted
     only inside windows that hold a path: a window with none has none
-    avoiding v.
+    avoiding v, and one where v has no time-edge is its own cut (no recount).
     """
     avoiding = dict.fromkeys(vertices, 0)
     if s in avoiding or z in avoiding:
@@ -77,7 +77,8 @@ def sigma_through(
         if count:
             sigma += count
             for v in avoiding:
-                avoiding[v] += counter(restrict(window, lo, hi, {v}), s, z)
+                cut = restrict(window, lo, hi, {v})
+                avoiding[v] += count if cut is window else counter(cut, s, z)
     return sigma, {v: sigma - a for v, a in avoiding.items()}
 
 

@@ -24,8 +24,9 @@ region) and multiplied into every carried state.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .graph import TemporalGraph, region_mask, sum_walk_states
@@ -48,58 +49,49 @@ class VIMSequence(_VIMSequenceFields):
 
 
 def _edge_window(g: TemporalGraph) -> tuple[dict[int, int], dict[int, int]]:
+    """First and last label of every vertex with a time-edge, read off the snapshots."""
     first: dict[int, int] = {}
     last: dict[int, int] = {}
-    for u, v, t in g.time_edges:
-        for x in (u, v):
-            if x not in first or t < first[x]:
-                first[x] = t
-            if x not in last or t > last[x]:
-                last[x] = t
+    for t, snap in g.snapshots.items():
+        for x in snap:
+            first.setdefault(x, t)
+            last[x] = t
     return first, last
+
+
+def _bags(g: TemporalGraph, last: dict[int, int], horizon: int):
+    """(t, F_t) for t = 1..horizon: F_(t-1) less the vertices whose last label is
+    before t, plus every vertex with a time-edge at t."""
+    bag: set[int] = set()
+    for t in range(1, horizon + 1):
+        bag = {v for v in bag if last[v] >= t}
+        bag.update(g.snapshots.get(t, ()))
+        yield t, bag
 
 
 def vim_sequence(g: TemporalGraph) -> VIMSequence:
     """Exact vertex interval membership sequence of g."""
-    first, last = _edge_window(g)
-    enters: dict[int, list[int]] = defaultdict(list)
-    leaves: dict[int, list[int]] = defaultdict(list)
-    for v in first:
-        enters[first[v]].append(v)
-        leaves[last[v]].append(v)
-    bag: set[int] = set()
-    bags = []
-    for t in range(1, g.lifetime + 1):
-        bag.update(enters[t])
-        bags.append(frozenset(bag))
-        bag.difference_update(leaves[t])
-    return VIMSequence(bags=tuple(bags))
+    _, last = _edge_window(g)
+    return VIMSequence(tuple(frozenset(bag) for _, bag in _bags(g, last, g.lifetime)))
 
 
 def vimw_width(g: TemporalGraph) -> int:
+    """The largest bag, by a sweep over first and last labels that builds no bag."""
     first, last = _edge_window(g)
-    if not first:
-        return 0
-    events: dict[int, int] = defaultdict(int)
-    for v in first:
-        events[first[v]] += 1
-        events[last[v] + 1] -= 1
-    width = best = 0
-    for t in sorted(events):
-        best += events[t]
-        width = max(width, best)
-    return width
+    events = Counter(first.values())
+    events.subtract(t + 1 for t in last.values())
+    return max(accumulate(events[t] for t in sorted(events)), default=0)
 
 
-def _finish_at_z(snap, pos, starts, z: int) -> int:
+def _finish_at_z(snap: dict[int, tuple[int, ...]], pos, starts, z: int) -> int:
     """Paths from ``starts``, ((u, X), count) pairs, finished at z inside ``snap``.
 
     u goes on by simple snapshot paths to z that avoid X, memoised per (u, region).
     """
     nbr = [0] * len(pos)
-    for u, v in snap:
-        nbr[pos[u]] |= 1 << pos[v]
-        nbr[pos[v]] |= 1 << pos[u]
+    for u, nbrs in snap.items():
+        for v in nbrs:
+            nbr[pos[u]] |= 1 << pos[v]
     zi = pos[z]
 
     def enter(x: int, allowed: int):
@@ -137,14 +129,12 @@ def count_vimw(g: TemporalGraph, s: int, z: int) -> int:
     # Trailing snapshots where z has no edge cannot host the final arrival.
     horizon = last[z]
 
-    edges_at = g.edges_at
     # States: (vertex, mask over the current bag's local indices) -> count.
     states: dict[tuple[int, int], int] = {}
     prev_pos: dict[int, int] = {}
 
-    for t in range(1, horizon + 1):
-        bag = {v for v in prev_pos if last[v] >= t}
-        bag.update(x for edge in edges_at.get(t, ()) for x in edge)
+    for t, bag in _bags(g, last, horizon):
+        adj = g.snapshots.get(t, {})
         pos = {v: i for i, v in enumerate(sorted(bag))}
 
         # Carry states over, remapping masks and dropping departed vertices.
@@ -164,12 +154,7 @@ def count_vimw(g: TemporalGraph, s: int, z: int) -> int:
         starts = [*carried.items(), ((s, 0), 1)] if s in pos else list(carried.items())
         if t == horizon:
             break
-        snap = edges_at.get(t)
-        if snap:
-            adj: dict[int, list[int]] = defaultdict(list)
-            for u, v in snap:
-                adj[u].append(v)
-                adj[v].append(u)
+        if adj:
             for (u, y_mask), count in starts:
                 if u not in adj:
                     continue
@@ -191,4 +176,4 @@ def count_vimw(g: TemporalGraph, s: int, z: int) -> int:
                         frames.pop()
         states = carried
         prev_pos = pos
-    return _finish_at_z(edges_at[horizon], pos, starts, z)
+    return _finish_at_z(g.snapshots[horizon], pos, starts, z)

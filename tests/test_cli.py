@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -240,6 +241,76 @@ def test_count_auto_selects_once(tmp_path, monkeypatch, capsys):
         ["count", "-s", "0", "-z", "5", "-i", str(path), "--algo", "oracle", "--oracle-limit", "2"]
     )
     assert code == 0 and capsys.readouterr().out == "65\n"
+
+
+def test_sample_over_oracle_limit_selects_and_enumerates_once(tmp_path, monkeypatch, capsys):
+    """The sampler's top-level count is made on the input graph itself, so an
+    oracle over its limit there ends the job: no second routing, no second run."""
+    from chronopath import cli, dispatch, oracle
+    from chronopath.generate import random_temporal_graph
+    from chronopath.graph import to_text
+
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cli, "select_algorithm")
+    counting(dispatch, "select_algorithm")
+    counting(oracle, "count_paths_bf")
+    # Every engine over its cap and an oracle limit of one path.
+    monkeypatch.setattr(DispatchCaps.__new__, "__defaults__", (0, 0, 0, 1))
+    path = tmp_path / "g.txt"
+    path.write_text(to_text(random_temporal_graph(9, 20, 20, 5)))
+    assert cli.main(["sample", "-s", "0", "-z", "1", "-i", str(path)]) == 3
+    assert "too large for brute force" in capsys.readouterr().err
+    assert calls == ["select_algorithm", "count_paths_bf"]
+
+
+def test_named_tfvs_searches_once_per_job(tmp_path, monkeypatch, capsys):
+    """`--algo tfvs` without a set searches the input graph once and counts
+    every cut with that set; it prints what fen prints."""
+    from chronopath import cli, tfvs
+    from chronopath.generate import random_temporal_graph
+    from chronopath.graph import to_text
+
+    searches = []
+    search = tfvs.compute_timed_fvs
+
+    def counting(g, *args, **kwargs):
+        searches.append(g)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(tfvs, "compute_timed_fvs", counting)
+    path = tmp_path / "g.txt"
+    path.write_text(to_text(random_temporal_graph(8, 14, 6, 3)))
+    out = {}
+    for algo in ("tfvs", "fen"):
+        args = ["betweenness", "--algo", algo, "--star", "foremost", "-i", str(path)]
+        assert cli.main(args) == 0
+        out[algo] = capsys.readouterr().out
+    assert len(searches) == 1
+    assert out["tfvs"] == out["fen"]
+
+
+def test_engine_work_cap_exits_3(monkeypatch, capsys):
+    """An engine that hits its work cap ends the run with exit 3, not as an input error."""
+    from chronopath import cli, fen
+    from chronopath.generate import diamond_chain
+    from chronopath.graph import to_text
+
+    monkeypatch.setattr(fen, "SEQUENCE_CAP_CONSTANT", 0)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(to_text(diamond_chain(6))))
+    assert cli.main(["count", "--algo", "fen", "-s", "0", "-z", "18"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "condensed sequence enumeration exceeded cap" in captured.err
 
 
 def test_dispatch_routing(rng):

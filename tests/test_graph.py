@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from chronopath.graph import (
     to_text,
     underlying_graph,
     validate_path,
+    without_static_edge,
 )
+from chronopath.generate import random_temporal_graph
 from chronopath.oracle import iter_paths
 
 from conftest import I1, I2, I5, make_graph, random_instance
@@ -120,6 +123,52 @@ def test_restrict_examples():
     assert restrict(I1, 1, 2).time_edges == I1.time_edges
     with pytest.raises(ValueError):
         restrict(I1, 3, 2)
+
+
+def _reference_indices(g: TemporalGraph):
+    """incident and the per-label adjacency, built the way they were before the
+    snapshot index: edges grouped by label, then walked label by label."""
+    edges_at = defaultdict(list)
+    for u, v, t in g.time_edges:
+        edges_at[t].append((u, v))
+    incident = {v: [] for v in range(g.n)}
+    snapshots = []
+    for t in sorted(edges_at):
+        adj = defaultdict(list)
+        for u, v in edges_at[t]:
+            incident[u].append((v, t))
+            incident[v].append((u, t))
+            adj[u].append(v)
+            adj[v].append(u)
+        snapshots.append((t, [(x, tuple(nbrs)) for x, nbrs in adj.items()]))
+    return incident, snapshots
+
+
+def test_snapshot_index_matches_reference_order(rng):
+    # Sampler seeds depend on the order of incident, so the order is pinned
+    # too, on whole graphs and on cuts with label gaps and deleted vertices.
+    graphs = [
+        random_temporal_graph(rng.randint(6, 12), 20, rng.randint(2, 15), seed)
+        for seed in range(40)
+    ]
+    graphs += [random_instance(rng, n_hi=10, t_hi=8, m_hi=30) for _ in range(80)]
+    for g in graphs:
+        lo = rng.randint(1, g.lifetime)
+        cuts = (g, restrict(g, lo, rng.randint(lo, g.lifetime), {rng.randrange(g.n)}))
+        for h in cuts:
+            incident, snapshots = _reference_indices(h)
+            assert h.incident == incident
+            assert [(t, list(adj.items())) for t, adj in h.snapshots.items()] == snapshots
+
+
+def test_cut_that_drops_nothing_is_its_graph():
+    g = parse("0 1 5\n1 2 9\n2 3 9\n")
+    assert restrict(g, 1, g.lifetime) is g
+    assert restrict(g, 1, g.lifetime, {4}) is g
+    assert without_static_edge(g, 0, 2) is g
+    for cut in (restrict(g, 2, 2), restrict(g, 1, 2, {0}), without_static_edge(g, 1, 0)):
+        assert cut is not g and len(cut.time_edges) == len(g.time_edges) - 1
+        assert cut.label_names is None and g.label_names == (5, 9)
 
 
 def test_reachability_against_bruteforce(rng):

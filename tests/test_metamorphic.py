@@ -1,0 +1,56 @@
+"""Metamorphic properties at sizes the brute-force oracle cannot enumerate.
+
+Reversing time (t -> T + 1 - t) turns every temporal (s,z)-path into a
+temporal (z,s)-path over the same vertices, so an exact engine must give
+count(G, s, z) == count(rev G, z, s).  The two sides walk different bags,
+link sequences and label lists, so an engine that drops or double counts
+a path in one time direction is caught without an oracle.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chronopath.fen import count_fen
+from chronopath.forest import count_forest
+from chronopath.generate import random_forest_graph, random_temporal_graph
+from chronopath.graph import TemporalGraph
+from chronopath.vimw import count_vimw
+
+
+def reverse_time(g: TemporalGraph) -> TemporalGraph:
+    top = g.lifetime + 1
+    edges = tuple(sorted((u, v, top - t) for u, v, t in g.time_edges))
+    return TemporalGraph(g.n, edges, g.lifetime)
+
+
+@st.composite
+def instances(draw, generator, extra_edges):
+    n = draw(st.integers(10, 16))
+    t_max = draw(st.integers(2, 8))
+    m = n - 1 + draw(extra_edges)
+    g = generator(n, m, t_max, draw(st.integers(0, 10**6)))
+    s, z = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return g, s, z
+
+
+def _reverses(count, instance) -> None:
+    g, s, z = instance
+    assert count(g, s, z) == count(reverse_time(g), z, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(random_temporal_graph, st.integers(1, 45)))
+def test_vimw_count_is_invariant_under_time_reversal(instance):
+    _reverses(count_vimw, instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(random_temporal_graph, st.integers(1, 45)))
+def test_fen_count_is_invariant_under_time_reversal(instance):
+    _reverses(count_fen, instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(random_forest_graph, st.integers(0, 8)))
+def test_forest_count_is_invariant_under_time_reversal(instance):
+    _reverses(count_forest, instance)
