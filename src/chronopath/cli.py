@@ -172,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--seed", type=int, default=0)
     p_approx.add_argument("--ell-cap", type=int, default=None)
     p_approx.add_argument("--algo", choices=ALGORITHMS, default="auto")
+    p_approx.set_defaults(format="json")
 
     p_sample = sub.add_parser("sample", help="sample temporal (s,z)-paths uniformly")
     _add_common(p_sample)
@@ -276,7 +277,7 @@ def _cmd_betweenness_approx(args) -> int:
         "ell": estimate.ell,
         "trials": estimate.trials,
     }
-    print(json.dumps(payload, sort_keys=True))
+    _emit(args, payload, "\n".join(f"{key}: {value}" for key, value in payload.items()))
     return EXIT_OK
 
 

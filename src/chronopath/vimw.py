@@ -5,20 +5,21 @@ time <= t and at some time >= t; the width of a temporal graph is the
 largest bag.  Narrow bags make exact counting cheap even for enormous
 lifetimes: the DP below runs in time linear in T at fixed width.
 
-State (v, X) of bag F_t carries the number of temporal (s,v)-paths that
-arrive by time t and meet F_t \\ {v} exactly in X.  Moving from t-1 to t,
-previous states are carried over (vertices that fell out of the bag have
-no future edges and are dropped from X), and paths arriving at exactly t
-are added by gluing an initial segment that reached some u by t-1 to a
-path inside the snapshot (V, E_t) starting at u.  The trivial segment
-sitting at s is always available as an initial segment, which is how
-paths departing s late are generated; it is injected rather than stored,
-so it is never double counted.
+State (w, X) of bag F_t carries the number of temporal (s,w)-paths that
+arrive by time t and meet F_t \\ {w} exactly in X; the trivial path at s is
+the state (s, {}) from s's first label on.  Moving from t-1 to t, states
+are carried over (vertices that fell out of the bag have no future edges
+and are dropped from X).  Inside the snapshot (V, E_t) a path's future
+depends only on its state, so one sweep in order of growing |X| extends
+each state once, by its merged count, to every neighbour outside X; an
+arrival is a state one level up.  X keeps every visited bag vertex, as one
+may be entered again at a later label.  A bag has at most |F_t|*2^|F_t|
+states, so the work is at most the sum over t of |F_t|*2^|F_t| times the
+largest degree in snapshot t.
 
-Earlier snapshots keep full masks, as a bag vertex may be entered again at
-a later label.  In the last snapshot only arrivals at z count, and the ways
-to finish a simple path there depend only on its end vertex and the region
-of unvisited vertices it still reaches: they are counted once per (vertex,
+In the last snapshot only arrivals at z count, and the ways to finish a
+simple path there depend only on its end vertex and the region of
+unvisited vertices it still reaches: they are counted once per (vertex,
 region) and multiplied into every carried state.
 """
 
@@ -29,7 +30,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
-from .graph import TemporalGraph, region_mask, sum_walk_states
+from .graph import _LABEL, TemporalGraph, region_mask, sum_walk_states
 
 
 class _VIMSequenceFields(NamedTuple):
@@ -49,30 +50,28 @@ class VIMSequence(_VIMSequenceFields):
 
 
 def _edge_window(g: TemporalGraph) -> tuple[dict[int, int], dict[int, int]]:
-    """First and last label of every vertex with a time-edge, read off the snapshots."""
+    """First and last label of every vertex with a time-edge, read off the time-edges."""
+    by_label = sorted(g.time_edges, key=_LABEL)
     first: dict[int, int] = {}
     last: dict[int, int] = {}
-    for t, snap in g.snapshots.items():
-        for x in snap:
-            first.setdefault(x, t)
-            last[x] = t
+    for u, v, t in by_label:
+        last[u] = last[v] = t
+    for u, v, t in reversed(by_label):
+        first[u] = first[v] = t
     return first, last
 
 
-def _bags(g: TemporalGraph, last: dict[int, int], horizon: int):
-    """(t, F_t) for t = 1..horizon: F_(t-1) less the vertices whose last label is
-    before t, plus every vertex with a time-edge at t."""
+def vim_sequence(g: TemporalGraph) -> VIMSequence:
+    """Exact vertex interval membership sequence of g: F_t is F_(t-1) less the
+    vertices whose last label is before t, plus every vertex with an edge at t."""
+    _, last = _edge_window(g)
+    bags: list[frozenset[int]] = []
     bag: set[int] = set()
-    for t in range(1, horizon + 1):
+    for t in range(1, g.lifetime + 1):
         bag = {v for v in bag if last[v] >= t}
         bag.update(g.snapshots.get(t, ()))
-        yield t, bag
-
-
-def vim_sequence(g: TemporalGraph) -> VIMSequence:
-    """Exact vertex interval membership sequence of g."""
-    _, last = _edge_window(g)
-    return VIMSequence(tuple(frozenset(bag) for _, bag in _bags(g, last, g.lifetime)))
+        bags.append(frozenset(bag))
+    return VIMSequence(tuple(bags))
 
 
 def vimw_width(g: TemporalGraph) -> int:
@@ -88,7 +87,7 @@ def _finish_at_z(snap: dict[int, tuple[int, ...]], pos, starts, z: int) -> int:
 
     u goes on by simple snapshot paths to z that avoid X, memoised per (u, region).
     """
-    nbr = [0] * len(pos)
+    nbr = [0] * (max(pos.values()) + 1)
     for u, nbrs in snap.items():
         for v in nbrs:
             nbr[pos[u]] |= 1 << pos[v]
@@ -124,56 +123,54 @@ def count_vimw(g: TemporalGraph, s: int, z: int) -> int:
     if s == z:
         return 1
     first, last = _edge_window(g)
-    if z not in first:
+    if s not in first or z not in first:
         return 0
     # Trailing snapshots where z has no edge cannot host the final arrival.
     horizon = last[z]
 
-    # States: (vertex, mask over the current bag's local indices) -> count.
-    states: dict[tuple[int, int], int] = {}
-    prev_pos: dict[int, int] = {}
-
-    for t, bag in _bags(g, last, horizon):
+    # Each bag vertex holds one bit of the masks; a vertex that leaves the bag
+    # frees its bit for the next one to enter.
+    pos: dict[int, int] = {}
+    free: list[int] = []
+    carried: dict[tuple[int, int], int] = {}
+    start = first[s]
+    for t in range(1, horizon + 1):
         adj = g.snapshots.get(t, {})
-        pos = {v: i for i, v in enumerate(sorted(bag))}
-
-        # Carry states over, remapping masks and dropping departed vertices.
-        carried: dict[tuple[int, int], int] = {}
-        keep_bits = [(1 << prev_pos[v], 1 << pos[v]) for v in prev_pos if v in pos]
-        for (v, mask), count in states.items():
+        gone = [v for v in pos if last[v] < t]
+        if gone:
+            # Departed vertices have no future edges: drop states ending there
+            # and clear their bits.
+            keep = -1
+            for v in gone:
+                free.append(pos.pop(v))
+                keep ^= 1 << free[-1]
+            states, carried = carried, {}
+            for (v, mask), count in states.items():
+                if v in pos:
+                    carried[v, mask & keep] = carried.get((v, mask & keep), 0) + count
+        for v in adj:
             if v not in pos:
-                continue
-            new_mask = 0
-            for old_bit, new_bit in keep_bits:
-                if mask & old_bit:
-                    new_mask |= new_bit
-            key = (v, new_mask)
-            carried[key] = carried.get(key, 0) + count
-
-        # Initial segments: carried states, plus the trivial segment at s.
-        starts = [*carried.items(), ((s, 0), 1)] if s in pos else list(carried.items())
+                pos[v] = free.pop() if free else len(pos)
+        if t == start:
+            carried[s, 0] = 1
         if t == horizon:
             break
-        if adj:
-            for (u, y_mask), count in starts:
-                if u not in adj:
-                    continue
-                # Stream all simple snapshot paths out of u with an explicit
-                # stack; a bag vertex may be entered again at a later label,
-                # so every arrival keeps its full mask.
-                frames = [(1 << pos[u], iter(adj[u]))]
-                while frames:
-                    mask, neighbours = frames[-1]
-                    for w in neighbours:
-                        bit = 1 << pos[w]
-                        if mask & bit or y_mask & bit:
-                            continue
-                        key = (w, y_mask | mask)
-                        carried[key] = carried.get(key, 0) + count
-                        frames.append((mask | bit, iter(adj[w])))
-                        break
-                    else:
-                        frames.pop()
-        states = carried
-        prev_pos = pos
-    return _finish_at_z(g.snapshots[horizon], pos, starts, z)
+        # Extend each state once, by its merged count: arrivals are one level
+        # up, so a level is complete before its turn.
+        levels: list[list[tuple[int, int]]] = [[] for _ in pos]
+        for key in carried:
+            if key[0] in adj:
+                levels[key[1].bit_count()].append(key)
+        for level in levels:
+            for w, x_mask in level:
+                count = carried[w, x_mask]
+                seen = x_mask | 1 << pos[w]
+                for v in adj[w]:
+                    if not seen >> pos[v] & 1:
+                        arrival = (v, seen)
+                        if arrival in carried:
+                            carried[arrival] += count
+                        else:
+                            carried[arrival] = count
+                            levels[seen.bit_count()].append(arrival)
+    return _finish_at_z(g.snapshots[horizon], pos, carried.items(), z)

@@ -455,6 +455,17 @@ def test_betweenness_approx_subcommand():
     assert doc["argmax"] == 1
 
 
+def test_betweenness_approx_prints_json_by_default_and_text_on_request():
+    args = ["betweenness-approx", "--star", "foremost", "--epsilon", "0.5", "--delta", "0.25",
+            "--ell-cap", "200", "--seed", "4"]
+    code, out, err = run_cli(args, "0 1 1\n1 2 2\n")
+    assert (code, err) == (0, "")
+    assert run_cli([*args, "--format", "json"], "0 1 1\n1 2 2\n") == (code, out, err)
+    doc = json.loads(out)
+    text = "".join(f"{key}: {doc[key]}\n" for key in ("value", "value_float", "argmax", "ell", "trials"))
+    assert run_cli([*args, "--format", "text"], "0 1 1\n1 2 2\n") == (0, text, "")
+
+
 def test_gen_random_deterministic_bytes():
     args = ["gen", "--kind", "random", "--n", "7", "--m", "11", "--t-max", "4", "--seed", "5"]
     assert run_cli(args) == run_cli(args)

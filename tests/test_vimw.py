@@ -1,13 +1,19 @@
+import subprocess
+import sys
 import time
+from math import perm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronopath.generate import diamond_chain, width_bounded_chain
+from chronopath.fen import count_fen
+from chronopath.generate import diamond_chain, random_temporal_graph, width_bounded_chain
+from chronopath.graph import TemporalGraph
 from chronopath.oracle import count_paths_bf
 from chronopath.vimw import count_vimw, vim_sequence, vimw_width
 
 from conftest import I1, make_graph, random_instance
+from test_metamorphic import instances
 
 
 @st.composite
@@ -107,3 +113,48 @@ def test_histogram():
     hist = vim_sequence(g).histogram()
     assert set(hist) == {3}
     assert hist[3] == 50
+
+
+def test_width_builds_no_snapshot_index():
+    g = width_bounded_chain(40)
+    assert vimw_width(g) == 3
+    assert "snapshots" not in g.__dict__
+
+
+def test_one_label_clique_counts_by_merged_states():
+    # K_12 at label 1, then a hub joined to every clique vertex but 0 at label
+    # 2: the paths are the floor(e * 11!) - 1 simple paths from 0 inside the
+    # clique, too many to walk one by one in time.
+    k = 12
+    edges = [f"{u} {v} 1" for u in range(k) for v in range(u + 1, k)]
+    edges += [f"{v} {k} 2" for v in range(1, k)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronopath.cli", "count", "--algo", "vimw", "-s", "0", "-z", str(k)],
+        input="\n".join(edges).encode(),
+        capture_output=True,
+        timeout=10,
+    )
+    assert proc.stdout.decode() == f"{sum(perm(k - 1, j) for j in range(1, k))}\n" == "108505111\n"
+
+
+def test_states_of_different_depth_merge_within_a_snapshot():
+    # 0-2-1-3 arrives at label 1 and 0-1 at label 2, so the deeper state comes
+    # first among those carried into label 3.  There 0-1 goes on by 1-2-3 and
+    # meets 0-2-1-3 in the state (3, {1, 2}) (0 has left the bag), which must
+    # be extended by both, to 4 at label 3 and to z = 5 at label 4: three paths.
+    edges = [(0, 2, 1), (1, 2, 1), (1, 3, 1), (0, 1, 2), (1, 2, 3), (2, 3, 3), (3, 4, 3)]
+    g = make_graph(6, [*edges, (4, 5, 4)])
+    assert count_vimw(g, 0, 5) == count_paths_bf(g, 0, 5) == 3
+    for z in range(g.n):
+        assert count_vimw(g, 0, z) == count_paths_bf(g, 0, z), z
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(random_temporal_graph, st.integers(1, 45)), st.data())
+def test_vimw_and_fen_are_invariant_under_vertex_permutation(instance, data):
+    g, s, z = instance
+    p = data.draw(st.permutations(range(g.n)))
+    edges = sorted((min(p[u], p[v]), max(p[u], p[v]), t) for u, v, t in g.time_edges)
+    h = TemporalGraph(g.n, tuple(edges), g.lifetime)
+    want = count_vimw(g, s, z)
+    assert count_fen(g, s, z) == count_vimw(h, p[s], p[z]) == count_fen(h, p[s], p[z]) == want
