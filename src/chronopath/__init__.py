@@ -27,7 +27,7 @@ _EXPORTS = {
         "maxbetweenness": "BetweennessEstimate estimate_max_betweenness zero_check",
         "oracle": "betweenness_bf count_optimal_bf count_paths_bf enumerate_paths",
         "reductions": "betweenness_exact count_fastest count_foremost sigma_through",
-        "sampling": "SamplerConfig sample_optimal sample_path",
+        "sampling": "OptimalPathSampler PathSampler",
         "tfvs": "compute_timed_fvs count_tfvs preprocess_terminals",
         "vimw": "VIMSequence count_vimw vim_sequence",
     }.items()

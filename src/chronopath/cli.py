@@ -217,6 +217,9 @@ def _cmd_count(args) -> int:
         return EXIT_OK
     tfvs_set = _read_tfvs_file(args.tfvs_file, g) if args.tfvs_file else None
     caps = DispatchCaps(args.vimw_cap, args.tfvs_cap, args.fen_cap, args.oracle_limit)
+    for cap, value in caps._asdict().items():
+        if value < 0:
+            raise InvalidParameterError(f"--{cap.replace('_', '-')} must be >= 0, got {value}")
     algo, counter = _counter_for(g, args.algo, caps, tfvs_set)
     value = counter(g, s, z)
     _emit(args, {"count": str(value), "algo": algo}, str(value))

@@ -117,16 +117,12 @@ def count_path_labels(
     return values[i - 1] if i else 0
 
 
-def count_forest(
-    g: TemporalGraph, s: int, z: int, t_min: int = 1, t_max: int | None = None
-) -> int:
+def count_forest(g: TemporalGraph, s: int, z: int) -> int:
     """Number of temporal (s,z)-paths; requires a forest underlying graph.
 
-    Only paths whose first label is >= t_min and last label <= t_max count;
-    s == z yields 1 (the trivial path waits inside any window).
+    s == z yields 1, the trivial path.  Paths inside a window [lo, hi] are
+    ``count_forest(restrict(g, lo, hi), s, z)``.
     """
-    if t_min < 1 or (t_max is not None and t_max < t_min):
-        raise ValueError(f"bad window [{t_min}, {t_max}]")
     static = underlying_graph(g)
     if not static.is_forest:
         raise NotAForestError("underlying graph contains a cycle")
@@ -136,4 +132,4 @@ def count_forest(
     if path is None:
         return 0
     labels = [g.edge_labels(u, v) for u, v in zip(path, path[1:])]
-    return count_path_labels(labels, t_min=t_min, t_max=t_max)
+    return count_path_labels(labels)

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from .graph import (
     TemporalGraph,
+    _reach_from,
     connectivity_matrix,
     earliest_arrival,
     fastest_duration,
@@ -26,13 +27,14 @@ Counter = Callable[[TemporalGraph, int, int], int]
 
 
 def optimal_windows(g: TemporalGraph, s: int, z: int, star: str) -> list[tuple[int, int]]:
-    """Windows [lo, hi] that hold each *-optimal (s,z)-path once and no other path.
+    """Ascending windows [lo, hi], each holding a *-optimal (s,z)-path, that
+    hold each *-optimal path once and no other path.
 
     Foremost: [(1, t*)] for the earliest arrival t*, or [] when z is
     unreachable.  Fastest: (t0, t0 + d) for the fastest duration d and each
-    label t0 of s with t0 + d <= lifetime.  A path inside [t0, t0 + d] lasts
-    at least d, so it leaves s at exactly t0: each fastest path lies in the
-    one window of its start time, and windows starting elsewhere hold none.
+    label t0 of s whose sweep first reaches z at t0 + d.  A path inside
+    [t0, t0 + d] lasts at least d, so it leaves s at exactly t0: each fastest
+    path lies in the one window of its start time, and no window is empty.
     """
     if s == z:
         raise ValueError("optimal windows require s != z")
@@ -43,8 +45,8 @@ def optimal_windows(g: TemporalGraph, s: int, z: int, star: str) -> list[tuple[i
         d = fastest_duration(g, s, z)
         if d is None:
             return []
-        starts = sorted({t for _, t in g.incident[s] if t + d <= g.lifetime})
-        return [(t0, t0 + d) for t0 in starts]
+        starts = sorted({t for _, t in g.incident[s]})
+        return [(t0, t0 + d) for t0 in starts if _reach_from(g, s, t0)[z] == t0 + d]
     raise ValueError(f"unknown optimality criterion {star!r}")
 
 
@@ -63,9 +65,9 @@ def sigma_through(
 ) -> tuple[int, dict[int, int]]:
     """(sigma, {v: sigma(v)}): the *-optimal (s,z)-paths, and those visiting each v.
 
-    The windows are fixed on g once and each is counted once.  v is deleted
-    only inside windows that hold a path: a window with none has none
-    avoiding v, and one where v has no time-edge is its own cut (no recount).
+    The windows are fixed on g once and each, holding a path, is counted
+    once.  v is deleted inside each window; a window where v has no
+    time-edge is its own cut (no recount).
     """
     avoiding = dict.fromkeys(vertices, 0)
     if s in avoiding or z in avoiding:
@@ -74,11 +76,10 @@ def sigma_through(
     for lo, hi in optimal_windows(g, s, z, star):
         window = restrict(g, lo, hi)
         count = counter(window, s, z)
-        if count:
-            sigma += count
-            for v in avoiding:
-                cut = restrict(window, lo, hi, {v})
-                avoiding[v] += count if cut is window else counter(cut, s, z)
+        sigma += count
+        for v in avoiding:
+            cut = restrict(window, lo, hi, {v})
+            avoiding[v] += count if cut is window else counter(cut, s, z)
     return sigma, {v: sigma - a for v, a in avoiding.items()}
 
 
@@ -88,7 +89,8 @@ def betweenness_exact(
     """Exact temporal betweenness, based on *-optimal paths, of each of ``vertices``.
 
     One sweep over the temporally connected ordered pairs makes one
-    :func:`sigma_through` call per pair for all requested vertices outside it.
+    :func:`sigma_through` call per pair for all requested vertices outside it;
+    a connected pair has an optimal path, so its sigma is positive.
     """
     total = dict.fromkeys(vertices, Fraction(0))
     matrix = connectivity_matrix(g)
@@ -97,7 +99,6 @@ def betweenness_exact(
             inner = [v for v in total if v not in (s, z)]
             if s != z and inner and matrix[s][z]:
                 sigma, through = sigma_through(g, s, z, inner, star, counter)
-                if sigma:
-                    for v in inner:
-                        total[v] += Fraction(through[v], sigma)
+                for v in inner:
+                    total[v] += Fraction(through[v], sigma)
     return [total[v] for v in vertices]

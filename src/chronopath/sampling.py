@@ -12,7 +12,8 @@ the usual almost-uniform guarantee.
 
 Foremost and fastest paths are sampled inside the pair's optimal windows
 (:func:`reductions.optimal_windows`): pick a window proportionally to its
-path count and sample inside it.
+path count and sample inside it.  Every such window holds a path, so every
+window's count is a positive weight.
 """
 
 from __future__ import annotations
@@ -28,14 +29,6 @@ from .errors import CounterFailureError, NoPathError
 # earliest_arrival is unused, but perfbench/tracing.py patches it here.
 from .graph import TemporalGraph, TemporalPath, earliest_arrival, restrict  # noqa: F401
 from .reductions import Counter, optimal_windows
-from .rng import child_rng
-
-
-class SamplerConfig(NamedTuple):
-    """The counter that drives the self-reduction, and the master seed."""
-
-    counter: Counter
-    seed: int = 0
 
 
 def _cumulative_weights(weights: list) -> list[int]:
@@ -136,29 +129,17 @@ class PathSampler:
         return TemporalPath(source=self.s, steps=tuple(self.walk(rng)))
 
 
-def sample_path(g: TemporalGraph, s: int, z: int, config: SamplerConfig) -> TemporalPath:
-    """One (almost-)uniform temporal (s,z)-path; NoPathError if none exists."""
-    sampler = PathSampler(g, s, z, config.counter)
-    if sampler.total_count() <= 0:
-        raise NoPathError(f"no temporal ({s},{z})-path")
-    return sampler.sample(child_rng(config.seed, "path", s, z))
-
-
 class OptimalPathSampler:
     """Reusable sampler for *-optimal (s,z)-paths (foremost or fastest)."""
 
     def __init__(self, g: TemporalGraph, s: int, z: int, star: str, counter: Counter):
         self.s = s
         self.trivial = s == z
-        self.window_samplers: list[PathSampler] = []
-        counts = []
-        for lo, hi in [] if self.trivial else optimal_windows(g, s, z, star):
-            sampler = PathSampler(restrict(g, lo, hi), s, z, counter)
-            count = sampler.total_count()
-            if count > 0:
-                self.window_samplers.append(sampler)
-                counts.append(count)
-        self.window_cum = _cumulative_weights(counts)
+        self.window_samplers = [
+            PathSampler(restrict(g, lo, hi), s, z, counter)
+            for lo, hi in ([] if self.trivial else optimal_windows(g, s, z, star))
+        ]
+        self.window_cum = _cumulative_weights([w.total_count() for w in self.window_samplers])
 
     def walk(self, rng: random.Random) -> list[tuple[int, int, int]]:
         """The steps of one drawn path."""
@@ -173,10 +154,3 @@ class OptimalPathSampler:
     def sample(self, rng: random.Random) -> TemporalPath:
         return TemporalPath(source=self.s, steps=tuple(self.walk(rng)))
 
-
-def sample_optimal(
-    g: TemporalGraph, s: int, z: int, star: str, config: SamplerConfig
-) -> TemporalPath:
-    """One (almost-)uniform *-optimal temporal (s,z)-path."""
-    sampler = OptimalPathSampler(g, s, z, star, config.counter)
-    return sampler.sample(child_rng(config.seed, "optimal", star, s, z))

@@ -62,16 +62,14 @@ def _edge_window(g: TemporalGraph) -> tuple[dict[int, int], dict[int, int]]:
 
 
 def vim_sequence(g: TemporalGraph) -> VIMSequence:
-    """Exact vertex interval membership sequence of g: F_t is F_(t-1) less the
-    vertices whose last label is before t, plus every vertex with an edge at t."""
-    _, last = _edge_window(g)
-    bags: list[frozenset[int]] = []
-    bag: set[int] = set()
-    for t in range(1, g.lifetime + 1):
-        bag = {v for v in bag if last[v] >= t}
-        bag.update(g.snapshots.get(t, ()))
-        bags.append(frozenset(bag))
-    return VIMSequence(tuple(bags))
+    """Exact vertex interval membership sequence of g: v is in F_t for every t
+    from its first label to its last."""
+    first, last = _edge_window(g)
+    bags: list[set[int]] = [set() for _ in range(g.lifetime)]
+    for v, t in first.items():
+        for bag in bags[t - 1 : last[v]]:
+            bag.add(v)
+    return VIMSequence(tuple(map(frozenset, bags)))
 
 
 def vimw_width(g: TemporalGraph) -> int:

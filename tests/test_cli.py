@@ -94,6 +94,14 @@ def test_negative_sample_count_and_tfvs_budget_exit_2():
     assert (code, out) == (2, "") and "--tfvs-budget" in err
 
 
+@pytest.mark.parametrize("flag", ["--vimw-cap", "--fen-cap", "--tfvs-cap", "--oracle-limit"])
+def test_negative_routing_cap_exits_2(flag):
+    for algo in ("auto", "oracle"):
+        code, out, err = run_cli(["count", "-s", "0", "-z", "2", "--algo", algo, flag, "-1"], I5_TEXT)
+        assert (code, out, err) == (2, "", f"error: {flag} must be >= 0, got -1\n")
+        assert run_cli(["count", "-s", "0", "-z", "2", "--algo", algo, flag, "0"], I5_TEXT)[:2] == (0, "2\n")
+
+
 def test_bad_stats_flags_exit_4():
     code, _, _ = run_cli(
         ["betweenness-approx", "--star", "foremost", "--epsilon", "2.0", "--delta", "0.1"],

@@ -5,6 +5,7 @@ import pytest
 from chronopath.errors import NotAForestError
 from chronopath.forest import count_forest
 from chronopath.generate import random_forest_graph
+from chronopath.graph import restrict
 from chronopath.oracle import count_paths_bf, iter_paths
 
 from conftest import I1, I5, make_graph
@@ -22,15 +23,18 @@ def test_count_forest_examples():
 def test_count_forest_rejects_cycles():
     with pytest.raises(NotAForestError):
         count_forest(I5, 0, 2)
+    # A window that keeps a cycle is still refused; one that cuts it is a forest.
+    triangle_then_tail = make_graph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 2)])
     with pytest.raises(NotAForestError):
-        count_forest(I5, 0, 2, 1, 2)
+        count_forest(restrict(triangle_then_tail, 1, 1), 0, 2)
+    assert count_forest(restrict(I5, 1, 2), 0, 2) == 1
 
 
 def test_window_examples():
-    assert count_forest(I1, 0, 2, 1, 2) == 1
-    assert count_forest(I1, 0, 2, 2, 2) == 0
-    assert count_forest(I1, 0, 2, 1, 1) == 0
-    assert count_forest(I1, 1, 1, 1, 2) == 1
+    assert count_forest(restrict(I1, 1, 2), 0, 2) == 1
+    assert count_forest(restrict(I1, 2, 2), 0, 2) == 0
+    assert count_forest(restrict(I1, 1, 1), 0, 2) == 0
+    assert count_forest(restrict(I1, 1, 2), 1, 1) == 1
 
 
 def test_window_widening_is_monotone(rng):
@@ -44,7 +48,7 @@ def test_window_widening_is_monotone(rng):
         prev = 0
         for width in range(g.lifetime + 1):
             lo, hi = max(1, centre - width), min(g.lifetime, centre + width)
-            value = count_forest(g, a, b, lo, hi)
+            value = count_forest(restrict(g, lo, hi), a, b)
             assert value >= prev
             prev = value
 
@@ -72,4 +76,4 @@ def test_window_against_oracle():
             for p in iter_paths(g, a, b)
             if p.steps and p.start_time >= lo and p.arrival_time <= hi
         )
-        assert count_forest(g, a, b, lo, hi) == want
+        assert count_forest(restrict(g, lo, hi), a, b) == want

@@ -189,3 +189,31 @@ def test_fastest_window_disjointness(rng):
                         and (p.start_time, p.arrival_time) == (lo, hi)
                     ]
                     assert len(homes) == 1
+
+
+def test_every_optimal_window_holds_a_path(rng):
+    # Each window optimal_windows returns holds a path, the windows together
+    # hold every optimal path once, and sigma_through counts through each v.
+    # Cuts by label and by vertex leave gaps in the labels of s.
+    cases = 0
+    for _ in range(120):
+        g = random_instance(rng, n_lo=3, n_hi=7, m_hi=12)
+        lo = rng.randint(1, g.lifetime)
+        cut = {rng.randrange(g.n)}
+        for h in (g, restrict(g, lo, g.lifetime), restrict(g, 1, g.lifetime, cut)):
+            for s in range(h.n):
+                for z in range(h.n):
+                    if s == z:
+                        continue
+                    inner = [v for v in range(h.n) if v not in (s, z)]
+                    for star in ("foremost", "fastest"):
+                        counts = [
+                            count_paths_bf(restrict(h, a, b), s, z)
+                            for a, b in optimal_windows(h, s, z, star)
+                        ]
+                        assert all(counts)
+                        sigma, through = sigma_through(h, s, z, inner, star, count_fen)
+                        assert sum(counts) == sigma == count_optimal_bf(h, s, z, star)
+                        assert through == {v: sigma_accessor_bf(h, s, z, v, star) for v in inner}
+                        cases += 1
+    assert cases > 5000

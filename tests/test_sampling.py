@@ -16,13 +16,7 @@ from chronopath.maxbetweenness import estimate_max_betweenness, zero_check
 from chronopath.oracle import count_paths_bf, enumerate_paths, optimal_paths
 from chronopath.reductions import optimal_windows
 from chronopath.rng import child_rng
-from chronopath.sampling import (
-    OptimalPathSampler,
-    PathSampler,
-    SamplerConfig,
-    sample_optimal,
-    sample_path,
-)
+from chronopath.sampling import OptimalPathSampler, PathSampler
 from chronopath.generate import diamond_chain
 
 from conftest import I1, I2, I4, I5, random_instance
@@ -36,18 +30,19 @@ def empirical(sampler, rng, draws):
 
 
 def test_unique_path_always():
-    cfg = SamplerConfig(counter=count_paths_bf, seed=5)
     for _ in range(5):
-        p = sample_path(I1, 0, 2, cfg)
+        p = PathSampler(I1, 0, 2, count_paths_bf).sample(child_rng(5, "path", 0, 2))
         assert p.steps == ((0, 1, 1), (1, 2, 2))
 
 
 def test_no_path_raises():
-    cfg = SamplerConfig(counter=count_paths_bf, seed=5)
+    sampler = PathSampler(I2, 0, 2, count_paths_bf)
+    assert sampler.total_count() == 0
     with pytest.raises(NoPathError):
-        sample_path(I2, 0, 2, cfg)
+        sampler.sample(child_rng(5, "path", 0, 2))
+    optimal = OptimalPathSampler(I2, 0, 2, "foremost", count_paths_bf)
     with pytest.raises(NoPathError):
-        sample_optimal(I2, 0, 2, "foremost", cfg)
+        optimal.sample(child_rng(5, "optimal", "foremost", 0, 2))
 
 
 def test_two_path_symmetry():
@@ -93,10 +88,10 @@ def test_optimal_samples_achieve_optimum(rng):
 
 
 def test_sample_optimal_examples():
-    cfg = SamplerConfig(counter=count_paths_bf, seed=11)
     for _ in range(5):
-        assert sample_optimal(I5, 0, 2, "foremost", cfg).steps == ((0, 1, 1), (1, 2, 2))
-        assert sample_optimal(I5, 0, 2, "fastest", cfg).steps == ((0, 2, 3),)
+        for star, want in (("foremost", ((0, 1, 1), (1, 2, 2))), ("fastest", ((0, 2, 3),))):
+            sampler = OptimalPathSampler(I5, 0, 2, star, count_paths_bf)
+            assert sampler.sample(child_rng(11, "optimal", star, 0, 2)).steps == want
     fast = OptimalPathSampler(I4, 0, 1, "fastest", count_paths_bf)
     seen = empirical(fast, child_rng(0, "i4"), 2000)
     assert set(seen) == {((0, 1, 1),), ((0, 1, 2),)}
@@ -132,9 +127,11 @@ def test_path_length_bounded(rng):
 
 
 def test_determinism_same_seed():
-    cfg = SamplerConfig(counter=count_paths_bf, seed=777)
-    a = [sample_path(I5, 0, 2, cfg).steps for _ in range(3)]
-    b = [sample_path(I5, 0, 2, cfg).steps for _ in range(3)]
+    def draw():
+        return PathSampler(I5, 0, 2, count_paths_bf).sample(child_rng(777, "path", 0, 2)).steps
+
+    a = [draw() for _ in range(3)]
+    b = [draw() for _ in range(3)]
     assert a == b
 
 

@@ -92,6 +92,16 @@ def test_against_oracle(rng):
                 )
 
 
+def test_against_oracle_on_graphs_with_deep_snapshots():
+    # Four labels over 20 edges put several edges of a path in one snapshot,
+    # so states of different depth meet there and the sweep order matters.
+    for seed in range(200):
+        g = random_temporal_graph(9, 20, 4, seed)
+        for s in range(g.n):
+            for z in range(g.n):
+                assert count_vimw(g, s, z) == count_paths_bf(g, s, z), (seed, s, z)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_temporal_graphs(), st.integers(0, 35), st.integers(0, 35))
 def test_against_oracle_hypothesis(gn, s_pick, z_pick):
@@ -118,6 +128,12 @@ def test_histogram():
 def test_width_builds_no_snapshot_index():
     g = width_bounded_chain(40)
     assert vimw_width(g) == 3
+    assert "snapshots" not in g.__dict__
+
+
+def test_sequence_builds_no_snapshot_index():
+    g = width_bounded_chain(40)
+    assert vim_sequence(g).width == 3
     assert "snapshots" not in g.__dict__
 
 
