@@ -28,7 +28,7 @@ _EXPORTS = {
         "oracle": "betweenness_bf count_optimal_bf count_paths_bf enumerate_paths",
         "reductions": "betweenness_exact count_fastest count_foremost sigma_through",
         "sampling": "OptimalPathSampler PathSampler",
-        "tfvs": "compute_timed_fvs count_tfvs preprocess_terminals",
+        "tfvs": "compute_timed_fvs count_tfvs",
         "vimw": "VIMSequence count_vimw vim_sequence",
     }.items()
     for name in names.split()

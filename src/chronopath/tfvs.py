@@ -27,19 +27,21 @@ intersection graph is chordal, and counting the valid combinations is a
 weighted multicoloured independent set count with one colour per
 consecutive pair.
 
-The terminal preprocessing guarantees s has a unique incident time-edge at
-label 1 and z a unique one at label T, so the artificial bracket
-appearances (s,1) and (z,T) can head and tail every ordering.
+Every ordering opens with the bracket (s, 1, I) and closes with (z, T, O),
+and one admissibility rule covers every vertex, s and z included: a vertex
+shows up at most twice, entered then left in adjacent positions.  A path
+that leaves s over an appearance (s, t) in X has that appearance directly
+after s's bracket, joined to it by the trivial segment [s] of weight 1; a
+path that enters z over (z, t) in X likewise has it directly before z's.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import chain, groupby, permutations, product
-from math import factorial
 
 from .chordal import ChordalInstance, count_weighted_mc_is
-from .errors import BudgetExceededError, EnumerationLimitError, NotAForestError
+from .errors import BudgetExceededError, NotAForestError
 from .forest import count_path_labels, static_tree_path, two_core
 from .graph import TemporalGraph, TimeEdge, _keep_edges, underlying_graph
 
@@ -177,51 +179,12 @@ def compute_timed_fvs(
         depth += 1
 
 
-def preprocess_terminals(
-    g: TemporalGraph, s: int, z: int
-) -> tuple[TemporalGraph, int, int]:
-    """Give the start a unique time-edge at label 1 and the end one at label T.
-
-    Non-conforming terminals get a fresh pendant neighbour which takes over
-    the terminal role; the (s,z)-path count is preserved bijectively.
-    """
-    edges = list(g.time_edges)
-    lifetime = max(g.lifetime, 1)
-    n = g.n
-
-    s_inc = g.incident[s] if g.n else []
-    if len(s_inc) == 1 and s_inc[0][1] == 1:
-        s2 = s
-    else:
-        s2 = n
-        n += 1
-        edges.append((s, s2, 1))
-
-    z_inc = g.incident[z]
-    if z != s2 and len(z_inc) == 1 and z_inc[0][1] == lifetime:
-        z2 = z
-    else:
-        z2 = n
-        n += 1
-        edges.append((z, z2, lifetime))
-
-    out = TemporalGraph(
-        n=n,
-        time_edges=tuple(sorted(edges)),
-        lifetime=lifetime,
-        vertex_names=None,
-        label_names=None,
-    )
-    return out, s2, z2
-
-
 def _sanitize_tfvs(g: TemporalGraph, x: frozenset[Appearance]) -> frozenset[Appearance]:
     """A minimal timed FVS inside x: in sorted order, drop each appearance not needed.
 
     An appearance goes when the set without it still leaves a forest, one
-    2-core test each.  No-op appearances and the two brackets, which sit on
-    pendant bridge edges, always go.  An invalid x stays as it is, since no
-    subset of it is valid.
+    2-core test each.  No-op appearances always go.  An invalid x stays as
+    it is, since no subset of it is valid.
     """
     kept = set(x)
     for a in sorted(x):
@@ -248,13 +211,10 @@ def count_tfvs(
         return 1
     if not g.time_edges:
         return 0
-    g2, s2, z2 = preprocess_terminals(g, s, z)
-    lifetime = g2.lifetime
-
     # Shrinking keeps a set valid or invalid, so one residual both checks a
     # supplied set and is counted on.
-    x = _sanitize_tfvs(g2, compute_timed_fvs(g2) if tfvs is None else tfvs)
-    residual = delete_appearances(g2, x)
+    x = _sanitize_tfvs(g, compute_timed_fvs(g) if tfvs is None else tfvs)
+    residual = delete_appearances(g, x)
     forest = underlying_graph(residual)
     if not forest.is_forest:
         if tfvs is not None:
@@ -274,7 +234,7 @@ def count_tfvs(
 
     # Appearance (v, t) -> neighbours w over a time-edge at t with (w, t) not in x.
     near: dict[Appearance, list[int]] = {}
-    for u, v, t in g2.time_edges:
+    for u, v, t in g.time_edges:
         if (v, t) not in x:
             near.setdefault((u, t), []).append(v)
         if (u, t) not in x:
@@ -301,7 +261,7 @@ def count_tfvs(
                     if weight:
                         vertex_sets.append(frozenset(path) - in_order)
                         weights.append(weight)
-            if uses_a and uses_b and ta == tb and ta in g2.edge_labels(a, b):
+            if uses_a and uses_b and ta == tb and ta in g.edge_labels(a, b):
                 vertex_sets.append(frozenset())
                 weights.append(1)
             if len(weights) == before:
@@ -324,8 +284,6 @@ def count_tfvs(
     # In time order: an admissible order has non-decreasing times, so only
     # appearances with equal times are permuted among themselves.
     x_elems = sorted(x, key=lambda a: (a[1], a[0]))
-    max_patterns = 4 ** (len(x_elems) + 2) * factorial(len(x_elems) + 2)
-    patterns_seen = 0
     total = 0
     for assignment in product("IOBU", repeat=len(x_elems)):
         middle = [
@@ -335,28 +293,22 @@ def count_tfvs(
         ]
         ties = [permutations(tie) for _, tie in groupby(middle, key=lambda a: a[1])]
         for perms in product(*ties):
-            order = [(s2, 1, "I"), *chain.from_iterable(perms), (z2, lifetime, "O")]
-            patterns_seen += 1
-            if patterns_seen > max_patterns:
-                raise EnumerationLimitError("pattern enumeration exceeded its proven bound")
-            if _order_admissible(order, s2, z2):
+            order = [(s, 1, "I"), *chain.from_iterable(perms), (z, g.lifetime, "O")]
+            if _order_admissible(order):
                 total += pattern_weight(order)
     return total
 
 
-def _order_admissible(order: list[tuple[int, int, str]], s2: int, z2: int) -> bool:
+def _order_admissible(order: list[tuple[int, int, str]]) -> bool:
     """Whether a time-sorted order visits each vertex once, or enters and leaves it in turn."""
     by_vertex: dict[int, list[int]] = {}
     for i, (v, _, _) in enumerate(order):
         by_vertex.setdefault(v, []).append(i)
-    for v, positions in by_vertex.items():
-        if len(positions) == 1:
-            continue
-        if len(positions) > 2 or v in (s2, z2):
+    for positions in by_vertex.values():
+        if len(positions) > 2:
             return False
-        i, j = positions
-        if j != i + 1:
-            return False
-        if order[i][2] != "I" or order[j][2] != "O":
-            return False
+        if len(positions) == 2:
+            i, j = positions
+            if j != i + 1 or order[i][2] != "I" or order[j][2] != "O":
+                return False
     return True

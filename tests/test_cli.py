@@ -281,6 +281,32 @@ def test_sample_over_oracle_limit_selects_and_enumerates_once(tmp_path, monkeypa
     assert calls == ["select_algorithm", "count_paths_bf"]
 
 
+def test_tfvs_file_speaks_the_input_names_and_labels(tmp_path, capsys):
+    """A --tfvs-file names vertices and labels as the input file does.
+
+    The input is a 4-cycle with vertex names 10..40 first seen out of order
+    and gapped labels 5, 9, 40, 77; the set is an appearance of s itself.
+    """
+    from chronopath import cli
+
+    text = "30 40 77\n20 30 9\n10 20 5\n10 40 40\n"
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    g = parse(text)
+    want = count_paths_bf(g, g.resolve_vertex(10), g.resolve_vertex(30))
+    assert want == 2
+    args = ["count", "--algo", "tfvs", "-s", "10", "-z", "30", "-i", str(graph), "--tfvs-file"]
+    for body, code, out, err in (
+        ("# s leaves at label 40\n10 40\n", 0, f"{want}\n", ""),
+        ("10 6\n", 2, "", "error: unknown time label 6 in timed-FVS file\n"),
+        ("10 40 1\n", 2, "", "error: bad timed-FVS line '10 40 1'\n"),
+    ):
+        tfvs_file = tmp_path / "x.txt"
+        tfvs_file.write_text(body)
+        assert cli.main([*args, str(tfvs_file)]) == code, body
+        assert capsys.readouterr() == (out, err), body
+
+
 def test_named_tfvs_searches_once_per_job(tmp_path, monkeypatch, capsys):
     """`--algo tfvs` without a set searches the input graph once and counts
     every cut with that set; it prints what fen prints."""

@@ -5,8 +5,16 @@ temporal (z,s)-path over the same vertices, so an exact engine must give
 count(G, s, z) == count(rev G, z, s).  The two sides walk different bags,
 link sequences and label lists, so an engine that drops or double counts
 a path in one time direction is caught without an oracle.
+
+Relabelling t -> 3t + 2 keeps the order of labels, so it keeps every path
+and every count.  Afterwards no label is 1 and the lifetime exceeds the
+number of labels, which an engine that reads labels as 1..T or brackets a
+path at labels 1 and T must still get right.  The timed-FVS engine runs on
+forests plus 1-3 extra time-edges, whose timed FVS has at most 3
+appearances.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +22,7 @@ from chronopath.fen import count_fen
 from chronopath.forest import count_forest
 from chronopath.generate import random_forest_graph, random_temporal_graph
 from chronopath.graph import TemporalGraph
+from chronopath.tfvs import count_tfvs
 from chronopath.vimw import count_vimw
 
 
@@ -21,6 +30,11 @@ def reverse_time(g: TemporalGraph) -> TemporalGraph:
     top = g.lifetime + 1
     edges = tuple(sorted((u, v, top - t) for u, v, t in g.time_edges))
     return TemporalGraph(g.n, edges, g.lifetime)
+
+
+def stretch_time(g: TemporalGraph) -> TemporalGraph:
+    edges = tuple((u, v, 3 * t + 2) for u, v, t in g.time_edges)
+    return TemporalGraph(g.n, edges, 3 * g.lifetime + 2)
 
 
 @st.composite
@@ -31,6 +45,19 @@ def instances(draw, generator, extra_edges):
     g = generator(n, m, t_max, draw(st.integers(0, 10**6)))
     s, z = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     return g, s, z
+
+
+@st.composite
+def forests_plus_edges(draw):
+    g, s, z = draw(instances(random_forest_graph, st.integers(0, 8)))
+    vertex = st.integers(0, g.n - 1)
+    extra = draw(st.lists(
+        st.tuples(vertex, vertex, st.integers(1, g.lifetime)).filter(lambda e: e[0] != e[1]),
+        min_size=1,
+        max_size=3,
+    ))
+    edges = {*g.time_edges, *((min(u, v), max(u, v), t) for u, v, t in extra)}
+    return TemporalGraph(g.n, tuple(sorted(edges)), g.lifetime), s, z
 
 
 def _reverses(count, instance) -> None:
@@ -54,3 +81,17 @@ def test_fen_count_is_invariant_under_time_reversal(instance):
 @given(instances(random_forest_graph, st.integers(0, 8)))
 def test_forest_count_is_invariant_under_time_reversal(instance):
     _reverses(count_forest, instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests_plus_edges())
+def test_tfvs_count_is_invariant_under_time_reversal(instance):
+    _reverses(count_tfvs, instance)
+
+
+@pytest.mark.parametrize("count", [count_vimw, count_fen, count_tfvs])
+@settings(max_examples=50, deadline=None)
+@given(instance=forests_plus_edges())
+def test_count_is_invariant_under_stretched_labels(count, instance):
+    g, s, z = instance
+    assert count(g, s, z) == count(stretch_time(g), s, z)

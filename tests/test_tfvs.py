@@ -6,7 +6,7 @@ from chronopath import tfvs
 from chronopath.errors import BudgetExceededError
 from chronopath.forest import count_forest, two_core
 from chronopath.generate import random_forest_graph
-from chronopath.graph import StaticGraph, underlying_graph
+from chronopath.graph import StaticGraph, TemporalGraph, underlying_graph
 from chronopath.oracle import count_paths_bf
 from chronopath.tfvs import (
     _sanitize_tfvs,
@@ -15,7 +15,6 @@ from chronopath.tfvs import (
     count_tfvs,
     delete_appearances,
     is_timed_fvs,
-    preprocess_terminals,
 )
 
 from conftest import I1, I5, make_graph, random_instance
@@ -160,22 +159,6 @@ def test_budget():
     assert len(compute_timed_fvs(tri, budget=1)) == 1
 
 
-def test_preprocess_conforming_unchanged():
-    g2, s2, z2 = preprocess_terminals(I1, 0, 2)
-    assert (g2.n, s2, z2) == (3, 0, 2)
-    assert g2.time_edges == I1.time_edges
-
-
-def test_preprocess_preserves_counts(rng):
-    for _ in range(50):
-        g = random_instance(rng, n_hi=6, m_hi=10)
-        s, z = rng.sample(range(g.n), 2)
-        g2, s2, z2 = preprocess_terminals(g, s, z)
-        assert len(g2.incident[s2]) == 1 and g2.incident[s2][0][1] == 1
-        assert len(g2.incident[z2]) == 1 and g2.incident[z2][0][1] == g2.lifetime
-        assert count_paths_bf(g2, s2, z2) == count_paths_bf(g, s, z)
-
-
 def test_count_examples():
     assert count_tfvs(I5, 0, 2) == 2
     assert count_tfvs(I1, 0, 2) == 1
@@ -194,6 +177,7 @@ def test_forest_instances_degenerate(rng):
 
 def test_against_oracle(rng):
     ran_sizes = set()
+    terminal_in_set = False
     for _ in range(260):
         g = random_instance(rng, n_hi=9, t_hi=8, m_hi=20)
         try:
@@ -202,8 +186,24 @@ def test_against_oracle(rng):
             continue
         ran_sizes.add(len(x))
         s, z = rng.sample(range(g.n), 2)
+        terminal_in_set |= any(v in (s, z) for v, _ in x)
         assert count_tfvs(g, s, z) == count_paths_bf(g, s, z), (g.time_edges, s, z)
     assert {1, 2, 3} <= ran_sizes
+    # Some minimum set held an appearance of s or z, which the brackets must share.
+    assert terminal_in_set
+
+
+def test_terminal_appearances_in_the_set():
+    """An appearance of s or z in the set sits next to that terminal's bracket.
+
+    On this 4-cycle, 0 reaches 2 over 0-1-2 (labels 1, 2) and 0-3-2 (3, 4),
+    and 2 reaches 0 not at all.  Each set below is one appearance of 0 or 2,
+    so each count needs a terminal in two positions of some order.
+    """
+    g = TemporalGraph(4, ((0, 1, 1), (0, 3, 3), (1, 2, 2), (2, 3, 4)), 4)
+    for x in ({(0, 1)}, {(0, 3)}, {(2, 4)}, {(2, 2)}):
+        assert count_tfvs(g, 0, 2, tfvs=frozenset(x)) == 2, x
+        assert count_tfvs(g, 2, 0, tfvs=frozenset(x)) == 0, x
 
 
 def test_user_supplied_set(rng):
@@ -253,11 +253,11 @@ def test_orders_reach_the_check_time_sorted(rng, monkeypatch):
     check = tfvs._order_admissible
     distinct_times = []
 
-    def sorted_only(order, s2, z2):
+    def sorted_only(order):
         times = [t for _, t, _ in order]
         assert times == sorted(times), order
         distinct_times.append(len(set(times[1:-1])))
-        return check(order, s2, z2)
+        return check(order)
 
     monkeypatch.setattr(tfvs, "_order_admissible", sorted_only)
     for _ in range(60):
