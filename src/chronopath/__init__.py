@@ -3,7 +3,7 @@
 Counts temporal (s,z)-paths in undirected temporal graphs: exactly, via a
 portfolio of parameterised algorithms (forest DP, timed feedback vertex
 set, feedback edge set, vertex-interval-membership width), approximately
-via colour coding, and samples paths almost uniformly.  Foremost- and
+via colour coding, and samples paths uniformly.  Foremost- and
 fastest-path counts and the corresponding betweenness centralities are
 derived from any of the exact counters.
 
@@ -29,7 +29,7 @@ _EXPORTS = {
         "reductions": "betweenness_exact count_fastest count_foremost sigma_through",
         "sampling": "OptimalPathSampler PathSampler",
         "tfvs": "compute_timed_fvs count_tfvs",
-        "vimw": "VIMSequence count_vimw vim_sequence",
+        "vimw": "count_vimw vim_sequence",
     }.items()
     for name in names.split()
 }

@@ -316,13 +316,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    from collections import Counter
+
     from . import fen, tfvs, vimw
 
     if args.tfvs_budget < 0:
         raise InvalidParameterError(f"--tfvs-budget must be >= 0, got {args.tfvs_budget}")
     g = _read_graph(args.input)
     static = underlying_graph(g)
-    seq = vimw.vim_sequence(g)
+    sizes = vimw.vim_sequence(g)
     pruned_links = None
     f = len(fen.feedback_edge_set(static))
     condensed = fen.condense(fen.prune_degree_one(g, 0, 0), 0, 0) if g.n else None
@@ -338,8 +340,8 @@ def _cmd_params(args) -> int:
         "time_edges": len(g.time_edges),
         "lifetime": g.lifetime,
         "is_forest": static.is_forest,
-        "vimw": seq.width,
-        "vimw_bag_histogram": {str(k): v for k, v in seq.histogram().items()},
+        "vimw": max(sizes, default=0),
+        "vimw_bag_histogram": {str(k): v for k, v in sorted(Counter(sizes).items())},
         "feedback_edge_number": f,
         "condensed_links": pruned_links,
         "timed_fvs_size": tfvs_size,

@@ -1,14 +1,13 @@
-"""(Almost-)uniform sampling of temporal paths via a pluggable counter.
+"""Uniform sampling of temporal paths via a pluggable counter.
 
 Temporal path counting is downward self-reducible: the paths from s
 partition by their first time-edge ({s,v}, t), and the block for that edge
 is in bijection with the (v,z)-paths of the residual instance obtained by
 deleting s and every time-edge earlier than t.  Sampling therefore walks
 forward, choosing each next time-edge with probability proportional to the
-counter's value on its residual instance.  With an exact counter the
-output distribution is exactly uniform (all arithmetic is integer; no
-float bias); with an eps'-approximate counter per-step errors compound to
-the usual almost-uniform guarantee.
+counter's value on its residual instance.  The package's counters are
+exact, so the output distribution is exactly uniform (all arithmetic is
+integer; no float bias).
 
 Foremost and fastest paths are sampled inside the pair's optimal windows
 (:func:`reductions.optimal_windows`): pick a window proportionally to its
@@ -20,24 +19,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import NamedTuple
 
 from .errors import CounterFailureError, NoPathError
 # earliest_arrival is unused, but perfbench/tracing.py patches it here.
 from .graph import TemporalGraph, TemporalPath, earliest_arrival, restrict  # noqa: F401
 from .reductions import Counter, optimal_windows
-
-
-def _cumulative_weights(weights: list) -> list[int]:
-    """Running totals of the weights, scaled to integers if any is a Fraction."""
-    if not all(isinstance(w, int) for w in weights):
-        fracs = [Fraction(w) for w in weights]
-        scale = lcm(*(f.denominator for f in fracs))
-        weights = [int(f * scale) for f in fracs]
-    return list(accumulate(weights))
 
 
 class _WalkState(NamedTuple):
@@ -64,7 +52,7 @@ class PathSampler:
         self.s = s
         self.z = z
         self.counter = counter
-        self._cache: dict[tuple[int, int, frozenset[int]], int | Fraction] = {}
+        self._cache: dict[tuple[int, int, frozenset[int]], int] = {}
         self._states: dict[tuple[int, int, frozenset[int]], _WalkState] = {}
 
     def _completions(self, v: int, min_label: int, visited: frozenset[int]):
@@ -85,7 +73,7 @@ class PathSampler:
         state = self._states.get(key)
         if state is None:
             options: list[tuple[int, int]] = []
-            weights: list = []
+            weights: list[int] = []
             for w, t in self.g.incident[cur]:
                 if t < min_label or w in visited:
                     continue
@@ -94,7 +82,7 @@ class PathSampler:
                     options.append((w, t))
                     weights.append(weight)
             state = self._states[key] = _WalkState(
-                visited, options, _cumulative_weights(weights), [None] * len(options)
+                visited, options, list(accumulate(weights)), [None] * len(options)
             )
         return state
 
@@ -134,17 +122,14 @@ class OptimalPathSampler:
 
     def __init__(self, g: TemporalGraph, s: int, z: int, star: str, counter: Counter):
         self.s = s
-        self.trivial = s == z
         self.window_samplers = [
             PathSampler(restrict(g, lo, hi), s, z, counter)
-            for lo, hi in ([] if self.trivial else optimal_windows(g, s, z, star))
+            for lo, hi in optimal_windows(g, s, z, star)
         ]
-        self.window_cum = _cumulative_weights([w.total_count() for w in self.window_samplers])
+        self.window_cum = list(accumulate(w.total_count() for w in self.window_samplers))
 
     def walk(self, rng: random.Random) -> list[tuple[int, int, int]]:
         """The steps of one drawn path."""
-        if self.trivial:
-            return []
         if not self.window_samplers:
             raise NoPathError("no optimal path to sample")
         cum = self.window_cum

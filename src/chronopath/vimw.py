@@ -1,9 +1,11 @@
-"""Vertex-interval-membership sequence and the bag-state counting DP.
+"""Vertex-interval-membership bag sizes and the bag-state counting DP.
 
 The bag F_t holds every vertex with an incident time-edge both at some
 time <= t and at some time >= t; the width of a temporal graph is the
-largest bag.  Narrow bags make exact counting cheap even for enormous
-lifetimes: the DP below runs in time linear in T at fixed width.
+largest bag.  The sizes |F_t| come from one sweep over first and last
+labels, which builds no bag.  Narrow bags make exact counting cheap even
+for enormous lifetimes: the DP below runs in time linear in T at fixed
+width.
 
 State (w, X) of bag F_t carries the number of temporal (s,w)-paths that
 arrive by time t and meet F_t \\ {w} exactly in X; the trivial path at s is
@@ -26,27 +28,9 @@ region) and multiplied into every carried state.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .graph import _LABEL, TemporalGraph, region_mask, sum_walk_states
-
-
-class _VIMSequenceFields(NamedTuple):
-    bags: tuple[frozenset[int], ...]
-
-
-class VIMSequence(_VIMSequenceFields):
-    """Bags F_1..F_T and their maximum size."""
-
-    @cached_property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0)
-
-    def histogram(self) -> dict[int, int]:
-        """Bag size -> number of times steps with that size."""
-        return dict(sorted(Counter(len(b) for b in self.bags).items()))
 
 
 def _edge_window(g: TemporalGraph) -> tuple[dict[int, int], dict[int, int]]:
@@ -61,23 +45,17 @@ def _edge_window(g: TemporalGraph) -> tuple[dict[int, int], dict[int, int]]:
     return first, last
 
 
-def vim_sequence(g: TemporalGraph) -> VIMSequence:
-    """Exact vertex interval membership sequence of g: v is in F_t for every t
-    from its first label to its last."""
-    first, last = _edge_window(g)
-    bags: list[set[int]] = [set() for _ in range(g.lifetime)]
-    for v, t in first.items():
-        for bag in bags[t - 1 : last[v]]:
-            bag.add(v)
-    return VIMSequence(tuple(map(frozenset, bags)))
-
-
-def vimw_width(g: TemporalGraph) -> int:
-    """The largest bag, by a sweep over first and last labels that builds no bag."""
+def vim_sequence(g: TemporalGraph) -> list[int]:
+    """Bag sizes |F_1|..|F_T|: v is in F_t for every t from its first label to its last."""
     first, last = _edge_window(g)
     events = Counter(first.values())
     events.subtract(t + 1 for t in last.values())
-    return max(accumulate(events[t] for t in sorted(events)), default=0)
+    return list(accumulate(events[t] for t in range(1, g.lifetime + 1)))
+
+
+def vimw_width(g: TemporalGraph) -> int:
+    """The largest bag."""
+    return max(vim_sequence(g), default=0)
 
 
 def _finish_at_z(snap: dict[int, tuple[int, ...]], pos, starts, z: int) -> int:

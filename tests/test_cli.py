@@ -451,6 +451,13 @@ def test_sample_optimal_subcommand():
     assert out.splitlines() == ["0 2@3"] * 3
 
 
+def test_sample_optimal_refuses_s_equal_to_z_as_count_optimal_does():
+    refused = (2, "", "error: optimal windows require s != z\n")
+    assert run_cli(["count-optimal", "-s", "0", "-z", "0", "--star", "fastest"], I5_TEXT) == refused
+    for star in ("foremost", "fastest"):
+        assert run_cli(["sample", "-s", "0", "-z", "0", "--optimal", star], I5_TEXT) == refused
+
+
 def test_sample_json_streams_the_bytes_of_one_dump():
     text = "0 1 1\n1 2 2\n0 2 3\n1 3 2\n3 2 3\n"
     g = parse(text)

@@ -12,7 +12,14 @@ number of labels, which an engine that reads labels as 1..T or brackets a
 path at labels 1 and T must still get right.  The timed-FVS engine runs on
 forests plus 1-3 extra time-edges, whose timed FVS has at most 3
 appearances.
+
+The sampler relies on self-reducibility: the (cur, z)-paths that go on from
+a walk state (cur, min_label, visited) are the paths of the cut that keeps
+labels from min_label on and drops the other visited vertices.  Each built
+state's total weight must be that cut's count by an independent engine.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +28,8 @@ from hypothesis import strategies as st
 from chronopath.fen import count_fen
 from chronopath.forest import count_forest
 from chronopath.generate import random_forest_graph, random_temporal_graph
-from chronopath.graph import TemporalGraph
+from chronopath.graph import TemporalGraph, restrict
+from chronopath.sampling import PathSampler
 from chronopath.tfvs import count_tfvs
 from chronopath.vimw import count_vimw
 
@@ -95,3 +103,19 @@ def test_tfvs_count_is_invariant_under_time_reversal(instance):
 def test_count_is_invariant_under_stretched_labels(count, instance):
     g, s, z = instance
     assert count(g, s, z) == count(stretch_time(g), s, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(random_temporal_graph, st.integers(1, 45)), st.integers(0, 2**32))
+def test_sampler_walk_states_weigh_their_residual_paths(instance, seed):
+    g, s, z = instance
+    sampler = PathSampler(g, s, z, count_vimw)
+    if sampler.total_count():
+        rng = random.Random(seed)
+        for _ in range(30):
+            sampler.walk(rng)
+    root = sampler._state(s, 1, frozenset((s,)))
+    assert (root.cum or [0])[-1] == sampler.total_count()
+    for (cur, min_label, visited), state in sampler._states.items():
+        residual = restrict(g, min_label, g.lifetime, visited - {cur})
+        assert (state.cum or [0])[-1] == count_fen(residual, cur, z)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chronopath.fen import count_fen
 from chronopath.generate import diamond_chain, random_temporal_graph, width_bounded_chain
-from chronopath.graph import TemporalGraph
+from chronopath.graph import TemporalGraph, restrict
 from chronopath.oracle import count_paths_bf
 from chronopath.vimw import count_vimw, vim_sequence, vimw_width
 
@@ -31,44 +31,32 @@ def small_temporal_graphs(draw):
 
 
 def test_sequence_examples():
-    g = make_graph(3, [(0, 1, 1), (1, 2, 2)])
-    seq = vim_sequence(g)
-    assert [set(b) for b in seq.bags] == [{0, 1}, {1, 2}]
-    assert seq.width == 2
-    assert vim_sequence(make_graph(2, [(0, 1, 1)])).width == 2
-    assert vim_sequence(make_graph(3, [])).width == 0
+    assert vim_sequence(make_graph(3, [(0, 1, 1), (1, 2, 2)])) == [2, 2]
+    assert vim_sequence(make_graph(4, [(0, 1, 1), (1, 2, 2), (0, 3, 3)])) == [2, 3, 2]
+    assert vim_sequence(make_graph(2, [(0, 1, 1)])) == [2]
+    assert vim_sequence(make_graph(3, [])) == []
+    assert vimw_width(make_graph(3, [])) == 0
 
 
 def test_sequence_definition_bruteforce(rng):
-    # v is in F_t iff v touches an edge at some i <= t and some j >= t.
+    # v is in F_t iff v touches an edge at some i <= t and some j >= t.  Label
+    # cuts keep absolute labels, so their bags before the first kept label are
+    # empty; the cut [1, T] is g itself.
     for _ in range(60):
         g = random_instance(rng)
-        seq = vim_sequence(g)
-        assert vimw_width(g) == seq.width
-        for t in range(1, g.lifetime + 1):
-            want = set()
-            for v in range(g.n):
-                times = [lab for w, lab in g.incident[v]]
-                if times and min(times) <= t <= max(times):
-                    want.add(v)
-            assert set(seq.bags[t - 1]) == want
-
-
-def test_membership_interval_contiguous(rng):
-    for _ in range(40):
-        g = random_instance(rng)
-        seq = vim_sequence(g)
-        for v in range(g.n):
-            times = [t for t, bag in enumerate(seq.bags) if v in bag]
-            assert times == list(range(min(times), max(times) + 1)) if times else True
-
-
-def test_every_active_endpoint_in_bag(rng):
-    for _ in range(40):
-        g = random_instance(rng)
-        seq = vim_sequence(g)
-        for u, v, t in g.time_edges:
-            assert u in seq.bags[t - 1] and v in seq.bags[t - 1]
+        windows = [(lo, hi) for hi in range(1, g.lifetime + 1) for lo in range(1, hi + 1)]
+        for lo, hi in windows:
+            h = restrict(g, lo, hi)
+            sizes = vim_sequence(h)
+            assert len(sizes) == h.lifetime
+            assert vimw_width(h) == max(sizes, default=0)
+            for t in range(1, h.lifetime + 1):
+                bag = set()
+                for v in range(h.n):
+                    times = [lab for w, lab in h.incident[v]]
+                    if times and min(times) <= t <= max(times):
+                        bag.add(v)
+                assert sizes[t - 1] == len(bag)
 
 
 def test_count_examples():
@@ -119,10 +107,7 @@ def test_long_narrow_instance_is_fast():
 
 
 def test_histogram():
-    g = width_bounded_chain(50)
-    hist = vim_sequence(g).histogram()
-    assert set(hist) == {3}
-    assert hist[3] == 50
+    assert vim_sequence(width_bounded_chain(50)) == [3] * 50
 
 
 def test_width_builds_no_snapshot_index():
@@ -133,7 +118,7 @@ def test_width_builds_no_snapshot_index():
 
 def test_sequence_builds_no_snapshot_index():
     g = width_bounded_chain(40)
-    assert vim_sequence(g).width == 3
+    assert vim_sequence(g) == [3] * 40
     assert "snapshots" not in g.__dict__
 
 
