@@ -5,23 +5,25 @@ each colour 1..k, of the product of the vertex weights of X.  This is the
 engine behind the timed-feedback-vertex-set path counter; on its own it is
 FPT in the number of colours.
 
-The dynamic program runs bottom-up over the clique tree that a perfect
-elimination ordering gives directly (Blair & Peyton 1993): vertex v gets the
-bag {v} plus its later neighbours, a clique, and hangs under the earliest of
-them; one empty root holds the components.  A child's bag minus its own
-vertex lies inside its parent's bag, so every vertex's bags form a subtree
-and an independent set meets a bag in at most one vertex.  Each child table
-is lifted into its parent's bag, introducing the parent's other vertices
-with their weights multiplied in, and the children of one bag are joined
-over colour subsets.  A vertex selected in both halves of a join had its
-weight multiplied in twice, so each join divides it out once; that division
-is always exact and checked so.
+The dynamic program runs over the clique tree that a perfect elimination
+ordering gives directly (Blair & Peyton 1993), held in lists by vertex: v's
+bag is {v} plus its later neighbours, a clique, and v hangs under its pivot,
+the earliest of them, or under the one empty root bag.  A child's bag minus
+its own vertex lies inside its pivot's bag, so every vertex's bags form a
+subtree and an independent set meets a bag in at most one vertex.  The
+fold runs in reverse search order, which reaches every bag after the bags
+under it: each table is lifted into its parent's bag, introducing the
+other vertices there with their weights multiplied in, and joined with its
+siblings' over colour subsets.  A vertex selected in both halves of a join
+had its weight multiplied in twice, so each join divides it out once; that
+division is always exact and checked so.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InvariantError, NotChordalError
@@ -35,7 +37,7 @@ class _ChordalInstanceFields(NamedTuple):
 
 
 class ChordalInstance(_ChordalInstanceFields):
-    """Static graph with a colour in 1..k and a positive weight per vertex."""
+    """Static graph with a colour in 1..k and a non-negative weight per vertex."""
 
     @cached_property
     def adj(self) -> dict[int, set[int]]:
@@ -44,16 +46,6 @@ class ChordalInstance(_ChordalInstanceFields):
             a[u].add(v)
             a[v].add(u)
         return a
-
-
-class CliqueTreeNode:
-    """Bag of a clique tree: a clique of the graph and the bags hung under it."""
-
-    __slots__ = ("bag", "children")
-
-    def __init__(self, bag: frozenset[int]):
-        self.bag = bag
-        self.children: list[CliqueTreeNode] = []
 
 
 def maximum_cardinality_search(n: int, adj: dict[int, set[int]]) -> list[int]:
@@ -76,65 +68,52 @@ def maximum_cardinality_search(n: int, adj: dict[int, set[int]]) -> list[int]:
     return order
 
 
-def build_clique_tree(instance: ChordalInstance) -> CliqueTreeNode:
-    """Clique tree read off a perfect elimination ordering; NotChordalError otherwise.
+def build_clique_tree(
+    instance: ChordalInstance,
+) -> tuple[list[int], list[frozenset[int]], list[int | None]]:
+    """Clique tree ``(order, bag, pivot)``; NotChordalError if not chordal.
 
-    The ordering is the reverse of a maximum cardinality search.  Vertex v
-    gets the bag {v} plus its later neighbours and hangs under the earliest
-    of them, its pivot; a vertex without later neighbours hangs under the
-    empty root bag, which so holds one subtree per component.  The ordering
-    is perfect iff every later neighbour of v is the pivot or adjacent to
-    it.  That check runs while the tree is built, in search order, so the
-    chordless cycle a NotChordalError names is the first one met there.
+    ``order`` is a maximum cardinality search, the reverse of the
+    elimination ordering.  ``bag[v]`` is {v} plus the neighbours met before
+    v, and ``pivot[v]`` is the last of them met, or None under the root.
+    The ordering is perfect iff every later neighbour of v is the pivot or
+    adjacent to it.  That check runs in search order, so the chordless
+    cycle a NotChordalError names is the first one met there.
     """
     n, adj = instance.n, instance.adj
-    root = CliqueTreeNode(bag=frozenset())
-    rank: dict[int, int] = {}
-    nodes: dict[int, CliqueTreeNode] = {}
-    # In search order a vertex's later neighbours are the ones already seen,
-    # so its pivot (the last of them seen) already has a node.
-    for i, v in enumerate(maximum_cardinality_search(n, adj)):
-        later = [u for u in adj[v] if u in rank]
+    order = maximum_cardinality_search(n, adj)
+    rank = [-1] * n
+    bag: list[frozenset[int]] = [frozenset()] * n
+    pivot: list[int | None] = [None] * n
+    for i, v in enumerate(order):
+        later = [u for u in adj[v] if rank[u] >= 0]
         rank[v] = i
-        nodes[v] = CliqueTreeNode(bag=frozenset((v, *later)))
-        if not later:
-            root.children.append(nodes[v])
-            continue
-        pivot = max(later, key=rank.__getitem__)
+        bag[v] = frozenset((v, *later))
+        p = pivot[v] = max(later, key=rank.__getitem__, default=None)
         for u in later:
-            if u != pivot and u not in adj[pivot]:
+            if u != p and u not in adj[p]:
                 raise NotChordalError(
-                    f"vertices {u} and {pivot} witness a chordless cycle through {v}"
+                    f"vertices {u} and {p} witness a chordless cycle through {v}"
                 )
-        nodes[pivot].children.append(nodes[v])
-    return root
+    return order, bag, pivot
 
 
-def _verify_clique_tree(instance: ChordalInstance, root: CliqueTreeNode) -> None:
+def _verify_clique_tree(instance: ChordalInstance, order: list, bag: list, pivot: list) -> None:
     """Check the clique-tree invariants (used by tests)."""
-    parent: dict[int, CliqueTreeNode] = {}
-    nodes = [root]
-    for nd in nodes:
-        for c in nd.children:
-            parent[id(c)] = nd
-            nodes.append(c)
-    for nd in nodes:
-        members = sorted(nd.bag)
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                if v not in instance.adj[u]:
-                    raise AssertionError(f"bag {members} is not a clique")
+    rank = {v: i for i, v in enumerate(order)}
     for v in range(instance.n):
-        holding = [nd for nd in nodes if v in nd.bag]
-        if instance.weight[v] > 0 and not holding:
-            raise AssertionError(f"vertex {v} missing from every bag")
+        members, p = sorted(bag[v]), pivot[v]
+        if v not in bag[v] or p is not None and rank[p] >= rank[v]:
+            raise AssertionError(f"bag {members} or pivot {p} of {v} misplaced")
+        if any(w not in instance.adj[u] for i, u in enumerate(members) for w in members[i + 1 :]):
+            raise AssertionError(f"bag {members} is not a clique")
         # Bags of a rooted tree are connected iff at most one of them has a
-        # parent outside the set.
-        tops = [nd for nd in holding if id(nd) not in parent or v not in parent[id(nd)].bag]
+        # parent outside the set; the root's bag is empty.
+        tops = [u for u in order if v in bag[u] and (pivot[u] is None or v not in bag[pivot[u]])]
         if len(tops) > 1:
             raise AssertionError(f"bags containing {v} are disconnected")
     for u, v in instance.edges:
-        if not any(u in nd.bag and v in nd.bag for nd in nodes):
+        if not any(u in b and v in b for b in bag):
             raise AssertionError(f"edge ({u},{v}) covered by no bag")
 
 
@@ -161,8 +140,11 @@ def _lift(
             free[mask] = free.get(mask, 0) + value
     for mask, value in free.items():
         out[(mask, -1)] = value
-    # Vertices new to this bag can be selected only by sets that avoid it.
+    # Vertices new to this bag can be selected only by sets that avoid it; a
+    # zero-weight vertex is never selected.
     for v in bag - child_bag:
+        if not weight[v]:
+            continue
         cb = bit[v]
         for mask, value in free.items():
             if not mask & cb:
@@ -197,61 +179,49 @@ def count_weighted_mc_is(
     """Sum of weight products over multicoloured independent sets.
 
     A multicoloured independent set picks exactly one vertex of each colour
-    1..k.  Zero-weight vertices cannot contribute to any product and are
-    dropped up front.  If ``stats`` is given, the number of stored DP
-    entries is recorded under ``"entries"``.
+    1..k.  Zero-weight vertices cannot contribute to any product, so their
+    edges are dropped up front: each is an isolated leaf that no lift
+    selects.  If ``stats`` is given, the number of stored DP entries is
+    recorded under ``"entries"``.
     """
     if any(not 1 <= c <= k for c in instance.colour):
         raise ValueError("vertex colour out of range 1..k")
-    if any(w < 0 for w in instance.weight):
+    weight = instance.weight
+    if any(w < 0 for w in weight):
         raise ValueError("negative vertex weight")
-    if any(w == 0 for w in instance.weight):
-        keep = [v for v in range(instance.n) if instance.weight[v] > 0]
-        remap = {v: i for i, v in enumerate(keep)}
-        instance = ChordalInstance(
-            n=len(keep),
-            edges=tuple(
-                (remap[u], remap[v])
-                for u, v in instance.edges
-                if u in remap and v in remap
-            ),
-            colour=tuple(instance.colour[v] for v in keep),
-            weight=tuple(instance.weight[v] for v in keep),
+    if 0 in weight:
+        instance = instance._replace(
+            edges=tuple((u, v) for u, v in instance.edges if weight[u] and weight[v])
         )
 
-    root = build_clique_tree(instance)
-    weight = instance.weight
+    order, bag, pivot = build_clique_tree(instance)
     bit = [1 << (c - 1) for c in instance.colour]
-    # Reversed breadth-first order puts every child before its parent.
-    order = [root]
-    for node in order:
-        order.extend(node.children)
-    tables: dict[int, Table] = {}
+    root: frozenset[int] = frozenset()
+    # The tables lifted into a bag so far, joined, by the bag's vertex (None:
+    # the root); a leaf has none and lifts the empty set's table instead.
+    tables: dict[int | None, Table] = {}
     entries = 0
-    for node in reversed(order):
-        table = None
-        for child in node.children:
-            lifted = _lift(tables.pop(id(child)), child.bag, node.bag, weight, bit)
-            table = lifted if table is None else _join(table, lifted, weight, bit)
-        if table is None:  # a leaf: its bag lifted over the empty set's table
-            table = _lift({(0, -1): 1}, frozenset(), node.bag, weight, bit)
-        tables[id(node)] = table
+    for v in reversed(order):
+        table = tables.pop(v) if v in tables else _lift({(0, -1): 1}, root, bag[v], weight, bit)
         entries += len(table)
+        p = pivot[v]
+        lifted = _lift(table, bag[v], root if p is None else bag[p], weight, bit)
+        tables[p] = _join(tables[p], lifted, weight, bit) if p in tables else lifted
+    table = tables.get(None, {(0, -1): 1})
+    entries += len(table)
 
     full = (1 << k) - 1
-    answer = sum(value for (mask, _sel), value in tables[id(root)].items() if mask == full)
+    answer = sum(value for (mask, _sel), value in table.items() if mask == full)
     if stats is not None:
         stats["entries"] = entries
         stats["colours"] = k
-        stats["bags"] = len(order)
-        stats["max_bag"] = max(len(node.bag) for node in order)
+        stats["bags"] = len(order) + 1
+        stats["max_bag"] = max(map(len, bag), default=0)
     return answer
 
 
 def count_mc_is_bruteforce(instance: ChordalInstance, k: int) -> int:
     """Subset-enumeration reference for tests (exponential)."""
-    from itertools import combinations
-
     total = 0
     for subset in combinations(range(instance.n), k):
         if sorted(instance.colour[v] for v in subset) != list(range(1, k + 1)):

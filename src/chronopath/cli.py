@@ -295,10 +295,13 @@ def _cmd_sample(args) -> int:
     _, counter = _counter_for(g, args.algo, DispatchCaps())
     if args.optimal == "none":
         sampler = sampling.PathSampler(g, s, z, counter)
-        if sampler.total_count() <= 0:
-            raise NoPathError(f"no temporal ({args.s},{args.z})-path to sample")
+        empty = sampler.total_count() <= 0
     else:
+        # A pair with any path has an optimal one, in a window of its own.
         sampler = sampling.OptimalPathSampler(g, s, z, args.optimal, counter)
+        empty = not sampler.window_samplers
+    if empty:
+        raise NoPathError(f"no temporal ({args.s},{args.z})-path to sample")
     rng = child_rng(args.seed, "cli-sample", args.optimal, s, z)
     # Each path is written as it is drawn; the JSON form spells out, piece by
     # piece, the bytes of json.dumps({"paths": [...]}, sort_keys=True).
@@ -319,17 +322,21 @@ def _cmd_params(args) -> int:
     from collections import Counter
 
     from . import fen, tfvs, vimw
+    from .forest import two_core
+    from .graph import closing_edges
 
     if args.tfvs_budget < 0:
         raise InvalidParameterError(f"--tfvs-budget must be >= 0, got {args.tfvs_budget}")
     g = _read_graph(args.input)
     static = underlying_graph(g)
     sizes = vimw.vim_sequence(g)
-    pruned_links = None
     f = len(fen.feedback_edge_set(static))
-    condensed = fen.condense(fen.prune_degree_one(g, 0, 0), 0, 0) if g.n else None
-    if condensed is not None:
-        pruned_links = len(condensed.links)
+    # Links of the 2-core once its degree-2 vertices are suppressed; a cycle of
+    # them alone is one link, so the count does not depend on vertex order.
+    core = two_core(static.sorted_edges)
+    deg2 = {v for v, nb in core.items() if len(nb) == 2}
+    chains = [(u, v) for u in deg2 for v in core[u] if u < v and v in deg2]
+    links = sum(map(len, core.values())) // 2 - len(deg2) + len(closing_edges(g.n, chains))
     try:
         x = tfvs.compute_timed_fvs(g, budget=args.tfvs_budget)
         tfvs_size: int | str = len(x)
@@ -343,7 +350,7 @@ def _cmd_params(args) -> int:
         "vimw": max(sizes, default=0),
         "vimw_bag_histogram": {str(k): v for k, v in sorted(Counter(sizes).items())},
         "feedback_edge_number": f,
-        "condensed_links": pruned_links,
+        "condensed_links": links if g.n else None,
         "timed_fvs_size": tfvs_size,
     }
     text = "\n".join(f"{key}: {value}" for key, value in payload.items())

@@ -18,11 +18,12 @@ class NotChordalError(ChronopathError):
 
 
 class EnumerationLimitError(ChronopathError):
-    """Brute-force enumeration exceeded its configured path limit."""
+    """An enumeration went past its cap: the oracle's path limit or fen's state cap."""
 
 
 class BudgetExceededError(ChronopathError):
-    """No timed feedback vertex set exists within the given budget."""
+    """A work budget was exceeded: the timed-FVS search's size budget, the
+    max-betweenness estimator's draw budget, or colour coding's work budget."""
 
 
 class NoPathError(ChronopathError):

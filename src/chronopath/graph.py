@@ -5,10 +5,10 @@ A temporal graph is a fixed vertex set 0..n-1 plus a set of time-edges
 label t, with 1 <= t <= lifetime.  A temporal path traverses time-edges
 with non-decreasing labels and never revisits a vertex.
 
-All types here are immutable after construction; derived structures are
-cached lazily and the objects are safe to share across workers.  Every
-construction site sorts ``time_edges``, and the derived indices are read
-off that order in linear passes, with no sort of their own.
+Fields are immutable after construction; derived structures are cached on
+the object when first used, and the reach-sweep cache grows with each new
+(source, label) query.  Every construction site sorts ``time_edges``, and
+the derived indices are read off that order in linear passes.
 """
 
 from __future__ import annotations

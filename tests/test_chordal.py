@@ -68,16 +68,8 @@ def test_examples():
 
 def test_triangle_single_bag():
     tri = ChordalInstance(n=3, edges=((0, 1), (0, 2), (1, 2)), colour=(1, 1, 1), weight=(1, 1, 1))
-    tree = build_clique_tree(tri)
-    bags = []
-
-    def collect(node):
-        bags.append(node.bag)
-        for c in node.children:
-            collect(c)
-
-    collect(tree)
-    assert frozenset({0, 1, 2}) in bags
+    _order, bag, _pivot = build_clique_tree(tri)
+    assert frozenset({0, 1, 2}) in bag
     assert count_weighted_mc_is(tri, 1) == 3
 
 
@@ -116,18 +108,18 @@ def test_clique_tree_invariants():
     rng = random.Random(7)
     for _ in range(40):
         inst = random_interval_instance(rng, rng.randint(1, 10), 2)
-        _verify_clique_tree(inst, build_clique_tree(inst))
+        _verify_clique_tree(inst, *build_clique_tree(inst))
     for _ in range(40):
         inst = random_ktree_instance(rng, rng.randint(1, 12), 2)
-        _verify_clique_tree(inst, build_clique_tree(inst))
+        _verify_clique_tree(inst, *build_clique_tree(inst))
     for _ in range(20):
         inst = disjoint_union(
             random_interval_instance(rng, rng.randint(1, 8), 2),
             random_interval_instance(rng, rng.randint(1, 8), 2),
         )
-        tree = build_clique_tree(inst)
-        assert len(tree.children) >= 2
-        _verify_clique_tree(inst, tree)
+        order, bag, pivot = build_clique_tree(inst)
+        assert pivot.count(None) >= 2  # one subtree under the root per component
+        _verify_clique_tree(inst, order, bag, pivot)
         assert count_weighted_mc_is(inst, 2) == count_mc_is_bruteforce(inst, 2)
 
 
@@ -198,3 +190,13 @@ def test_empty_graph_and_zero_weights():
     assert count_weighted_mc_is(empty, 1) == 0
     zeroed = ChordalInstance(n=2, edges=(), colour=(1, 1), weight=(0, 4))
     assert count_weighted_mc_is(zeroed, 1) == 4
+
+
+def test_zero_weight_vertex_on_a_chordless_cycle():
+    """A zero-weight vertex counts as absent, even where it closes a 4-cycle."""
+    square = ChordalInstance(
+        n=4, edges=((0, 1), (1, 2), (2, 3), (0, 3)), colour=(1, 1, 2, 2), weight=(0, 3, 5, 7)
+    )
+    assert count_weighted_mc_is(square, 2) == count_mc_is_bruteforce(square, 2) == 21
+    isolated = ChordalInstance(n=4, edges=((1, 2),), colour=(1, 1, 2, 2), weight=(0, 3, 5, 7))
+    assert count_weighted_mc_is(isolated, 2) == count_mc_is_bruteforce(isolated, 2) == 21

@@ -619,3 +619,45 @@ def test_tfvs_file(tmp_path):
         ["count", "-i", str(graph_file), "-s", "0", "-z", "2", "--algo", "tfvs", "--tfvs-file", str(tfvs)]
     )
     assert code == 0 and out.strip() == "2"
+
+
+def test_params_output_does_not_depend_on_line_order(tmp_path, capsys):
+    """condensed_links, like every other parameter, is a graph invariant."""
+    import random
+
+    from chronopath import cli
+    from chronopath.generate import random_temporal_graph
+    from chronopath.graph import to_text
+
+    def params(lines):
+        path = tmp_path / "g.txt"
+        path.write_text("".join(lines))
+        assert cli.main(["params", "--format", "json", "-i", str(path)]) == 0
+        return capsys.readouterr().out
+
+    # A triangle with a two-edge tail: one link, whichever vertex comes first.
+    tail_first = ["0 4 1\n", "4 1 1\n", "1 2 1\n", "2 3 1\n", "3 1 1\n"]
+    tail_last = tail_first[2:] + tail_first[:2]
+    assert json.loads(params(tail_first))["condensed_links"] == 1
+    assert params(tail_first) == params(tail_last)
+    rng = random.Random(5)
+    for seed in range(1, 13):
+        lines = to_text(random_temporal_graph(12, 30, 9, seed)).splitlines(keepends=True)
+        want = params(lines)
+        for _ in range(2):
+            rng.shuffle(lines)
+            assert params(lines) == want, seed
+
+
+def test_sample_refuses_an_unconnected_pair_in_every_mode(tmp_path, capsys):
+    from chronopath import cli
+
+    path = tmp_path / "g.txt"
+    path.write_text("0 1 1\n2 3 2\n")
+    for optimal in ("none", "foremost", "fastest"):
+        for fmt in ("text", "json"):
+            for count in ("0", "2"):
+                args = ["sample", "-s", "0", "-z", "2", "-i", str(path), "--count", count]
+                assert cli.main(args + ["--optimal", optimal, "--format", fmt]) == 2
+                out, err = capsys.readouterr()
+                assert (out, err) == ("", "error: no temporal (0,2)-path to sample\n")
