@@ -105,13 +105,6 @@ def _counter_for(g: TemporalGraph, algo: str, caps: DispatchCaps, tfvs_set=None)
     return engine, counter
 
 
-def _format_path(g: TemporalGraph, path) -> str:
-    out = [str(g.vertex_name(path.source))]
-    for _, v, t in path.steps:
-        out.append(f"{g.vertex_name(v)}@{t}")
-    return " ".join(out)
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -303,17 +296,35 @@ def _cmd_sample(args) -> int:
     if empty:
         raise NoPathError(f"no temporal ({args.s},{args.z})-path to sample")
     rng = child_rng(args.seed, "cli-sample", args.optimal, s, z)
-    # Each path is written as it is drawn; the JSON form spells out, piece by
-    # piece, the bytes of json.dumps({"paths": [...]}, sort_keys=True).
+    # Paths are written in blocks of 1,024 as they are drawn, so memory does not
+    # grow with --count; the JSON form spells out, piece by piece, the bytes of
+    # json.dumps({"paths": [...]}, sort_keys=True).
+    as_json = args.format == "json"
+    source = str(g.vertex_name(s))
+    hops: dict[tuple[int, int, int], str] = {}
+    block: list[str] = []
     opening = '{"paths": ['
-    for _ in range(args.count):
-        p = sampler.sample(rng)
-        if args.format == "json":
-            sys.stdout.write(opening + json.dumps([list(step) for step in p.steps]))
-            opening = ", "
-        else:
-            print(_format_path(g, p))
-    if args.format == "json":
+    try:
+        for _ in range(args.count):
+            pieces = []
+            for step in sampler.sample(rng).steps:
+                hop = hops.get(step)
+                if hop is None:
+                    _, v, t = step
+                    hop = hops[step] = json.dumps(step) if as_json else f"{g.vertex_name(v)}@{t}"
+                pieces.append(hop)
+            if as_json:
+                block.append(f"{opening}[{', '.join(pieces)}]")
+                opening = ", "
+            else:
+                block.append(" ".join([source, *pieces]) + "\n")
+            if len(block) == 1024:
+                sys.stdout.write("".join(block))
+                block.clear()
+    finally:
+        # A sampler error still leaves the paths drawn before it on stdout.
+        sys.stdout.write("".join(block))
+    if as_json:
         print('{"paths": []}' if args.count == 0 else "]}")
     return EXIT_OK
 

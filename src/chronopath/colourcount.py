@@ -161,10 +161,16 @@ def estimate_short(
     _check_work(g, range(k, k + 1), epsilon, delta)
     trials = trial_count(k, epsilon, delta, DEFAULT_TRIAL_CONSTANT)
     running = 0
+    # Trials that draw the same colouring share one DP; every trial still
+    # draws from its own stream, so the estimate does not change.
+    counts: dict[tuple[int, ...], int] = {}
     for trial in range(trials):
         rng = child_rng(seed, "short", k, trial)
         colouring = {v: rng.randrange(1, ell + 1) for v in internal}
-        running += count_multicoloured(g, s, z, colouring, ell)
+        key = tuple(colouring.values())
+        if key not in counts:
+            counts[key] = count_multicoloured(g, s, z, colouring, ell)
+        running += counts[key]
     # A fixed set of ell internal vertices is colourful with probability
     # ell!/ell^ell, so each colourful count underestimates by that factor.
     return Fraction(running * ell**ell, trials * factorial(ell))

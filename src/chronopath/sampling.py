@@ -29,10 +29,10 @@ from .reductions import Counter, optimal_windows
 
 
 class _WalkState(NamedTuple):
-    """A walk state's visited set, next time-edges, their running weights and next states."""
+    """A walk state's visited set, next steps, their running weights and next states."""
 
     visited: frozenset[int]
-    options: list[tuple[int, int]]
+    options: list[tuple[int, int, int]]
     cum: list[int]
     children: list[_WalkState | None]
 
@@ -44,7 +44,8 @@ class PathSampler:
     instance is determined by (next vertex, label cutoff, visited set), and
     repeated draws hit the same residuals constantly.  Each walk state
     (current vertex, label cutoff, visited set) is one node, built when the
-    walk first reaches it, so a repeated state costs one draw and one bisect.
+    walk first reaches it, so a repeated state costs one bit draw (two or
+    more only when the draw is rejected) and one bisect.
     """
 
     def __init__(self, g: TemporalGraph, s: int, z: int, counter: Counter):
@@ -54,6 +55,7 @@ class PathSampler:
         self.counter = counter
         self._cache: dict[tuple[int, int, frozenset[int]], int] = {}
         self._states: dict[tuple[int, int, frozenset[int]], _WalkState] = {}
+        self._root: _WalkState | None = None
 
     def _completions(self, v: int, min_label: int, visited: frozenset[int]):
         key = (v, min_label, visited)
@@ -72,14 +74,14 @@ class PathSampler:
         key = (cur, min_label, visited)
         state = self._states.get(key)
         if state is None:
-            options: list[tuple[int, int]] = []
+            options: list[tuple[int, int, int]] = []
             weights: list[int] = []
             for w, t in self.g.incident[cur]:
                 if t < min_label or w in visited:
                     continue
                 weight = self._completions(w, t, visited)
                 if weight > 0:
-                    options.append((w, t))
+                    options.append((cur, w, t))
                     weights.append(weight)
             state = self._states[key] = _WalkState(
                 visited, options, list(accumulate(weights)), [None] * len(options)
@@ -94,24 +96,34 @@ class PathSampler:
         steps: list[tuple[int, int, int]] = []
         if self.s == self.z:
             return steps
-        cur, state = self.s, self._state(self.s, 1, frozenset((self.s,)))
-        while cur != self.z:
-            cum = state.cum
+        z, getrandbits = self.z, rng.getrandbits
+        state = self._root
+        if state is None:
+            state = self._root = self._state(self.s, 1, frozenset((self.s,)))
+        while True:
+            visited, options, cum, children = state
             if not cum:
                 if not steps:
                     raise NoPathError(f"no temporal ({self.s},{self.z})-path")
                 raise CounterFailureError(
                     "counter reported completions where none exist"
                 )
-            # The first option whose running total exceeds r: exactly proportional.
-            i = bisect_right(cum, rng.randrange(cum[-1]))
-            w, t = state.options[i]
-            steps.append((cur, w, t))
-            child = state.children[i]
-            if child is None and w != self.z:
-                child = state.children[i] = self._state(w, t, state.visited | {w})
-            cur, state = w, child
-        return steps
+            # rng.randrange(total), drawn as CPython draws it; the first option
+            # whose running total exceeds r is then exactly proportional.
+            total = cum[-1]
+            k = total.bit_length()
+            r = getrandbits(k)
+            while r >= total:
+                r = getrandbits(k)
+            i = bisect_right(cum, r)
+            step = options[i]
+            steps.append(step)
+            _, w, t = step
+            if w == z:
+                return steps
+            state = children[i]
+            if state is None:
+                state = children[i] = self._state(w, t, visited | {w})
 
     def sample(self, rng: random.Random) -> TemporalPath:
         return TemporalPath(source=self.s, steps=tuple(self.walk(rng)))

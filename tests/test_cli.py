@@ -661,3 +661,56 @@ def test_sample_refuses_an_unconnected_pair_in_every_mode(tmp_path, capsys):
                 assert cli.main(args + ["--optimal", optimal, "--format", fmt]) == 2
                 out, err = capsys.readouterr()
                 assert (out, err) == ("", "error: no temporal (0,2)-path to sample\n")
+
+
+def _old_sample_lines(g, s, z, count, seed):
+    """The per-path lines sample printed before it wrote in blocks."""
+    sampler = PathSampler(g, s, z, lambda h, a, b: dispatch_count(h, a, b))
+    rng = child_rng(seed, "cli-sample", "none", s, z)
+    paths = [sampler.sample(rng) for _ in range(count)]
+    lines = [
+        " ".join([str(g.vertex_name(p.source))] + [f"{g.vertex_name(v)}@{t}" for _, v, t in p.steps])
+        for p in paths
+    ]
+    return paths, lines
+
+
+def test_sample_blocks_hold_the_bytes_of_per_path_output(tmp_path, capsys):
+    from chronopath import cli
+
+    text = "10 20 1\n20 30 2\n10 30 3\n20 40 2\n40 30 3\n10 40 1\n"
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    g = parse(text)
+    s, z = g.resolve_vertex(10), g.resolve_vertex(30)
+    for count in (0, 1, 1023, 1024, 1025, 2500):
+        paths, lines = _old_sample_lines(g, s, z, count, 6)
+        args = ["sample", "-s", "10", "-z", "30", "-i", str(path), "--count", str(count), "--seed", "6"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr() == ("".join(line + "\n" for line in lines), "")
+        want = json.dumps({"paths": [[list(step) for step in p.steps] for p in paths]}, sort_keys=True)
+        assert cli.main(args + ["--format", "json"]) == 0
+        assert capsys.readouterr() == (want + "\n", "")
+
+
+def test_sample_keeps_the_paths_drawn_before_a_sampler_error(tmp_path, monkeypatch, capsys):
+    from chronopath import cli
+    from chronopath.errors import CounterFailureError
+
+    path = tmp_path / "g.txt"
+    path.write_text(I5_TEXT + "1 3 2\n3 2 3\n")
+    args = ["sample", "-s", "0", "-z", "2", "-i", str(path), "--count", "2500", "--seed", "6"]
+    assert cli.main(args) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    sample, calls = PathSampler.sample, []
+
+    def failing(self, rng):
+        calls.append(None)
+        if len(calls) == 1500:
+            raise CounterFailureError("counter reported completions where none exist")
+        return sample(self, rng)
+
+    monkeypatch.setattr(PathSampler, "sample", failing)
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("".join(lines[:1499]), "error: counter reported completions where none exist\n")

@@ -220,3 +220,27 @@ def test_determinism():
     a = estimate_total(I5, 0, 2, 0.3, 0.2, seed=321)
     b = estimate_total(I5, 0, 2, 0.3, 0.2, seed=321)
     assert a == b
+
+
+def test_estimate_short_runs_one_dp_per_distinct_colouring(monkeypatch):
+    chain5 = make_graph(6, [(i, i + 1, i + 1) for i in range(5)])
+    for g, s, z, k in ((diamond_chain(2), 0, 6, 4), (chain5, 0, 5, 5)):
+        ell = k - 1
+        internal = [v for v in range(g.n) if v not in (s, z)]
+        trials = trial_count(k, 0.25, 0.1, colourcount.DEFAULT_TRIAL_CONSTANT)
+        running = 0
+        for trial in range(trials):
+            rng = child_rng(3, "short", k, trial)
+            colouring = {v: rng.randrange(1, ell + 1) for v in internal}
+            running += count_multicoloured(g, s, z, colouring, ell)
+        want = Fraction(running * ell**ell, trials * math.factorial(ell))
+        seen = []
+
+        def counting(g, s, z, colours, num_colours):
+            seen.append(tuple(colours.values()))
+            return count_multicoloured(g, s, z, colours, num_colours)
+
+        monkeypatch.setattr(colourcount, "count_multicoloured", counting)
+        assert estimate_short(g, s, z, k, 0.25, 0.1, seed=3) == want > 0
+        monkeypatch.undo()
+        assert len(seen) == len(set(seen)) < trials

@@ -1,8 +1,10 @@
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from chronopath.dispatch import dispatch_count
 from chronopath.errors import NoPathError
 from chronopath.fen import count_fen
 from chronopath.graph import (
@@ -19,7 +21,7 @@ from chronopath.rng import child_rng
 from chronopath.sampling import OptimalPathSampler, PathSampler
 from chronopath.generate import diamond_chain
 
-from conftest import I1, I2, I4, I5, random_instance
+from conftest import I1, I2, I4, I5, make_graph, random_instance
 
 
 def empirical(sampler, rng, draws):
@@ -265,3 +267,39 @@ def test_walk_draws_the_steps_that_sample_wraps():
             path = sampler.sample(r_sample)
             assert (path.source, tuple(sampler.walk(r_walk))) == (sampler.s, path.steps)
         assert r_walk.getstate() == r_sample.getstate()
+
+
+def _randrange_walk(sampler, rng):
+    """The walk over the sampler's own states, each step drawn with rng.randrange."""
+    steps = []
+    cur, min_label, visited = sampler.s, 1, frozenset((sampler.s,))
+    while cur != sampler.z:
+        state = sampler._state(cur, min_label, visited)
+        step = state.options[bisect_right(state.cum, rng.randrange(state.cum[-1]))]
+        steps.append(step)
+        _, cur, min_label = step
+        visited = visited | {cur}
+    return steps
+
+
+def test_walk_draws_as_randrange_does(rng):
+    # Labels 1..300 on each edge of a 5-edge path: C(304, 5) paths, so the
+    # first draw takes getrandbits over more than one 32-bit word.
+    path = make_graph(6, [(u, u + 1, t) for u in range(5) for t in range(1, 301)])
+    instances = [(path, 0, 5, 200), (I1, 0, 2, 20), (diamond_chain(3), 0, 9, 100)]
+    while len(instances) < 23:
+        g = random_instance(rng, n_hi=7, m_hi=12)
+        s, z = rng.sample(range(g.n), 2)
+        if earliest_arrival(g, s, z) is not None:
+            instances.append((g, s, z, 40))
+    totals = set()
+    for seed, (g, s, z, walks) in enumerate(instances):
+        sampler = PathSampler(g, s, z, lambda h, a, b: dispatch_count(h, a, b))
+        r_walk, r_ref = child_rng(seed, "randrange"), child_rng(seed, "randrange")
+        for _ in range(walks):
+            assert sampler.walk(r_walk) == _randrange_walk(sampler, r_ref)
+            assert r_walk.getstate() == r_ref.getstate()
+        totals |= {state.cum[-1] for state in sampler._states.values() if state.cum}
+    assert 20_932_912_560 in totals
+    # I1's one path weighs 1; the 3-diamond chain's first step weighs 2^3.
+    assert {1, 8} <= totals
