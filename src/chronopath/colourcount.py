@@ -19,23 +19,27 @@ vertices with at least one completion.
 ``estimate_short`` runs the standard colour-coding scheme on top: colour
 the non-terminal vertices uniformly with k-1 colours, count colourful
 paths exactly, and rescale by the probability (k-1)!/(k-1)^(k-1) that a
-fixed set of k-1 internal vertices becomes colourful.  An estimate whose
-tables times time-edges are predicted above WORK_BUDGET raises
-BudgetExceededError before its first trial.
+fixed set of k-1 internal vertices becomes colourful.  Trials inducing
+one partition of the pair's cut (``forest.pair_cut``) share a DP.  An
+estimate whose tables times time-edges are predicted above WORK_BUDGET
+raises BudgetExceededError before its first trial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, exp, factorial, log
+from random import Random
 
 from .errors import BudgetExceededError, InvalidParameterError
+from .forest import pair_cut
 from .graph import TemporalGraph
-from .rng import child_rng
+from .rng import derive_seed
 
 DEFAULT_TRIAL_CONSTANT = 3.0
 # Most colour-subset tables times time-edges one estimate may predict: 0.1-0.3
 # us each on random graphs of 8-24 vertices, so 10-30 s (2-core VM, Python 3.11.7).
+# Predicted per trial on the whole graph, it can only over-predict the DPs on the cut.
 WORK_BUDGET = 10**8
 
 
@@ -44,8 +48,8 @@ def count_multicoloured(
 ) -> int:
     """Temporal (s,z)-paths containing exactly one vertex of each colour class.
 
-    ``colours`` maps every vertex of V \\ {s, z} to a class in 1..num_colours;
-    classes may be empty (then the count is trivially zero).
+    ``colours`` maps vertices other than s and z to classes 1..num_colours; an
+    uncoloured vertex is never internal.  Empty classes make the count zero.
     """
     if s == z:
         return 1 if num_colours == 0 else 0
@@ -160,17 +164,27 @@ def estimate_short(
         return Fraction(0)
     _check_work(g, range(k, k + 1), epsilon, delta)
     trials = trial_count(k, epsilon, delta, DEFAULT_TRIAL_CONSTANT)
+    cut, reach = pair_cut(g, s, z)
     running = 0
-    # Trials that draw the same colouring share one DP; every trial still
-    # draws from its own stream, so the estimate does not change.
-    counts: dict[tuple[int, ...], int] = {}
-    for trial in range(trials):
-        rng = child_rng(seed, "short", k, trial)
-        colouring = {v: rng.randrange(1, ell + 1) for v in internal}
-        key = tuple(colouring.values())
-        if key not in counts:
-            counts[key] = count_multicoloured(g, s, z, colouring, ell)
-        running += counts[key]
+    if len(reach) >= ell:
+        # Trial t colours internal[i] by its stream's i-th randrange(1, ell + 1), inlined;
+        # draws stop at the cut's last vertex, and equal partitions of the cut share a DP.
+        in_cut = [v in reach for v in internal[: internal.index(reach[-1]) + 1]]
+        rng, bits = Random(), ell.bit_length()
+        counts: dict[tuple[int, ...], int] = {}
+        for trial in range(trials):
+            rng.seed(derive_seed(seed, "short", k, trial))
+            names: dict[int, int] = {}
+            part = []
+            for wanted in in_cut:
+                while (r := rng.getrandbits(bits)) >= ell:
+                    pass
+                if wanted:
+                    part.append(names.setdefault(r, len(names) + 1))
+            key = tuple(part)
+            if len(names) == ell and key not in counts:
+                counts[key] = count_multicoloured(cut, s, z, dict(zip(reach, key)), ell)
+            running += counts.get(key, 0)
     # A fixed set of ell internal vertices is colourful with probability
     # ell!/ell^ell, so each colourful count underestimates by that factor.
     return Fraction(running * ell**ell, trials * factorial(ell))

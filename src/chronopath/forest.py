@@ -22,7 +22,7 @@ from bisect import bisect_right
 from typing import Iterable
 
 from .errors import NotAForestError
-from .graph import StaticGraph, TemporalGraph, underlying_graph
+from .graph import StaticGraph, TemporalGraph, _keep_edges, _reach_from, underlying_graph
 
 
 def two_core(edges: Iterable[tuple[int, int]], keep: Iterable[int] = ()) -> dict[int, set[int]]:
@@ -47,6 +47,22 @@ def two_core(edges: Iterable[tuple[int, int]], keep: Iterable[int] = ()) -> dict
             if len(nb) == 1 and w not in keep:
                 stack.append(w)
     return adj
+
+
+def pair_cut(g: TemporalGraph, s: int, z: int) -> tuple[TemporalGraph, list[int]]:
+    """The time-edges (u, v, t) where s reaches u by t and v can leave at t and still
+    reach z (latest departure is earliest arrival under time reversal, Wu et al. 2014),
+    in their 2-core keeping s and z, and the cut's other vertices.  Labels may repeat
+    along a walk, so either orientation of {u, v} passes this test if one does.
+    """
+    top = g.lifetime + 1
+    rev = TemporalGraph(g.n, tuple(sorted((u, v, top - t) for u, v, t in g.time_edges)), top - 1)
+    a = [top if x is None else x for x in _reach_from(g, s)]
+    d = [0 if x is None else top - x for x in _reach_from(rev, z)]
+    kept = [(u, v, t) for u, v, t in g.time_edges if a[u] <= t <= d[v]]
+    core = two_core(((u, v) for u, v, _ in kept), keep=(s, z))
+    cut = _keep_edges(g, [e for e in kept if e[0] in core and e[1] in core])
+    return cut, sorted(v for v in core if v != s and v != z)
 
 
 def static_tree_path(static: StaticGraph, a: int, b: int) -> list[int] | None:

@@ -11,8 +11,8 @@ from chronopath.colourcount import (
     trial_count,
 )
 from chronopath.errors import InvalidParameterError
-from chronopath.forest import count_forest
-from chronopath.generate import diamond_chain, random_forest_graph
+from chronopath.forest import count_forest, pair_cut
+from chronopath.generate import diamond_chain, random_forest_graph, random_temporal_graph
 from chronopath.oracle import count_paths_bf, iter_paths
 from chronopath.rng import child_rng
 
@@ -108,6 +108,28 @@ def test_against_bruteforce(rng):
         assert count_multicoloured(g, s, z, colours, nc) == bruteforce_colourful(
             g, s, z, colours, nc
         )
+
+
+def test_count_depends_only_on_the_partition_of_the_cut(rng):
+    # Renaming the colours, or dropping the colours of the vertices outside
+    # the pair's cut, leaves the count unchanged.
+    seen = 0
+    for _ in range(150):
+        g = random_instance(rng, n_lo=4, n_hi=9, m_hi=18)
+        s, z = rng.sample(range(g.n), 2)
+        others = [v for v in range(g.n) if v not in (s, z)]
+        nc = rng.randint(1, len(others))
+        colours = {v: rng.randint(1, nc) for v in others}
+        want = bruteforce_colourful(g, s, z, colours, nc)
+        rename = dict(zip(range(1, nc + 1), rng.sample(range(1, nc + 1), nc)))
+        renamed = {v: rename[c] for v, c in colours.items()}
+        assert count_multicoloured(g, s, z, renamed, nc) == want
+        cut, reach = pair_cut(g, s, z)
+        kept = {v: colours[v] for v in reach}
+        assert count_multicoloured(g, s, z, kept, nc) == want
+        assert count_multicoloured(cut, s, z, kept, nc) == want
+        seen += want > 0 and len(reach) < len(others)
+    assert seen >= 10
 
 
 def test_subset_dp_matches_ordering_dp(rng):
@@ -244,3 +266,71 @@ def test_estimate_short_runs_one_dp_per_distinct_colouring(monkeypatch):
         assert estimate_short(g, s, z, k, 0.25, 0.1, seed=3) == want > 0
         monkeypatch.undo()
         assert len(seen) == len(set(seen)) < trials
+
+
+def test_estimate_short_runs_one_dp_per_partition_of_the_cut(monkeypatch):
+    # Each trial's colouring drawn in full with rng.randrange; the estimate
+    # runs one DP on the cut per partition of the cut's vertices into ell
+    # classes, and equals the mean of the whole-graph counts.
+    g, s, z, k = random_temporal_graph(10, 30, 10, 3), 1, 0, 5
+    ell, cut, reach = k - 1, *pair_cut(g, s, z)
+    internal = [v for v in range(g.n) if v not in (s, z)]
+    assert len(reach) < len(internal)
+
+    def partition(colours):
+        classes = {}
+        for v in reach:
+            classes.setdefault(colours[v], []).append(v)
+        return frozenset(map(tuple, classes.values()))
+
+    trials = trial_count(k, 0.5, 0.2, colourcount.DEFAULT_TRIAL_CONSTANT)
+    running, parts, memo = 0, set(), {}
+    for trial in range(trials):
+        rng = child_rng(9, "short", k, trial)
+        colouring = {v: rng.randrange(1, ell + 1) for v in internal}
+        key = tuple(colouring.values())
+        if key not in memo:
+            memo[key] = count_multicoloured(g, s, z, colouring, ell)
+        running += memo[key]
+        if len(partition(colouring)) == ell:
+            parts.add(partition(colouring))
+    seen = []
+
+    def counting(h, s, z, colours, num_colours):
+        assert h == cut and sorted(colours) == reach
+        seen.append(partition(colours))
+        return count_multicoloured(h, s, z, colours, num_colours)
+
+    monkeypatch.setattr(colourcount, "count_multicoloured", counting)
+    got = estimate_short(g, s, z, k, 0.5, 0.2, seed=9)
+    assert got == Fraction(running * ell**ell, trials * math.factorial(ell)) > 0
+    assert len(seen) == len(set(seen)) and set(seen) == parts
+    assert len(parts) < len(memo) // 2
+
+
+# Seeded estimates (epsilon 0.5, delta 0.2, seed 5) of k = 2..6 and of
+# k_max = 3, 4, as computed by drawing a full colouring per trial with
+# rng.randrange and running one DP per distinct colouring on the whole graph.
+# The cut sizes (internal vertices, time-edges) show what each instance
+# covers: a cut that drops a vertex and time-edges, two that keep the whole
+# graph, one that keeps half the vertices, and an empty one.
+PINNED = [
+    (random_temporal_graph(10, 30, 10, 3), 1, 0, (7, 21),
+     ["5", "424/143", "747/97", "58816/3165", "100625/8601"], ["1941/241", "989187/64106"]),
+    (diamond_chain(2), 0, 6, (5, 8), ["0", "0", "387/97", "0", "0"], ["0", "1977/482"]),
+    (random_temporal_graph(9, 18, 4, 2), 2, 6, (7, 18),
+     ["1", "408/143", "801/776", "2208/1055", "75625/34404"], ["951/241", "325435/64106"]),
+    (random_temporal_graph(16, 48, 12, 7), 0, 4, (7, 14),
+     ["0", "38/13", "99/97", "0", "0"], ["704/241", "127514/32053"]),
+    (random_temporal_graph(16, 48, 12, 7), 0, 13, (0, 0), ["0"] * 5, ["0", "0"]),
+]
+
+
+@pytest.mark.parametrize("g, s, z, size, short, total", PINNED)
+def test_seeded_estimates_are_pinned(g, s, z, size, short, total):
+    cut, reach = pair_cut(g, s, z)
+    assert (len(reach), len(cut.time_edges)) == size
+    got = [estimate_short(g, s, z, k, 0.5, 0.2, seed=5) for k in range(2, 7)]
+    assert got == [Fraction(x) for x in short]
+    got = [estimate_total(g, s, z, 0.5, 0.2, seed=5, k_max=k_max) for k_max in (3, 4)]
+    assert got == [Fraction(x) for x in total]
